@@ -8,8 +8,8 @@
 //   * BM_ScalarServerStep: one Server::step per call, the per-object
 //     baseline from bench_micro_perf;
 //   * BM_BatchedServerStep*/N: ServerBatch::step_all through the PR-4
-//     scalar-expression reference path plus the per-server write-back —
-//     what the batched engines do per substep;
+//     scalar-expression reference path plus the LaneAccounting pass and
+//     its per-period write-back — what the batched engines do per substep;
 //   * BM_SimdServerStep*/N: the same work routed through the widest
 //     vector kernel this host supports (skipped, with the reason printed,
 //     on scalar-only hosts).
@@ -26,11 +26,11 @@
 // After the timing loops, main() enforces two claims through
 // bench/verdict.hpp on plain-chrono kernel measurements:
 //
-//   * the PR-4 claim: batched (settled, incl. write-back) beats the
+//   * the batch claim: batched (settled, incl. accounting) beats the
 //     scalar baseline by >= 4x at N = 64;
 //   * this PR's claim: the SIMD kernel beats the batched reference
 //     kernel by >= 2x at N = 64 on the slewing fleet, measured
-//     kernel-only (step_all, no write-back — the write-back is identical
+//     kernel-only (step_all, no accounting — the accounting is identical
 //     in both paths and would only dilute what is being compared).
 //
 // The SIMD gate is SKIPPED (not failed, reason printed) when the host has
@@ -51,6 +51,7 @@
 #include "json_reporter.hpp"
 #include "verdict.hpp"
 
+#include "batch/lane_accounting.hpp"
 #include "batch/server_batch.hpp"
 #include "batch/simd/dispatch.hpp"
 #include "sim/server.hpp"
@@ -61,6 +62,7 @@ namespace {
 using namespace fsc;
 
 constexpr double kDt = 0.05;  // the engines' physics substep
+constexpr long kSubstepsPerPeriod = 20;  // 1 s control period
 constexpr double kUtilization = 0.5;
 
 /// A coefficient-heterogeneous fleet: per-lane spreads on the Rhs power
@@ -71,6 +73,8 @@ struct Fleet {
   std::vector<std::unique_ptr<Rng>> rngs;
   std::vector<std::unique_ptr<Server>> servers;
   ServerBatch batch;
+  LaneAccounting accounts;
+  long substeps = 0;
 
   /// `uniform` = identical Table-1 SKUs on every lane (the rolling share's
   /// best case) instead of the default heterogeneous spread.
@@ -91,6 +95,7 @@ struct Fleet {
       rngs.push_back(std::make_unique<Rng>(derive_seed(42, i)));
       servers.push_back(std::make_unique<Server>(params, 2000.0, *rngs.back()));
       batch.add_server(*servers.back());
+      accounts.add_lane(*servers.back(), nullptr);
     }
     set_inputs(3000.0);
   }
@@ -104,14 +109,17 @@ struct Fleet {
     }
   }
 
-  /// One batched physics substep including the per-server write-back —
-  /// what RackBatchStepper does per substep.
+  /// One batched physics substep including the lane accounting — what
+  /// RackBatchStepper does per substep — with the accounting's per-period
+  /// load and write-back at every control-period boundary.
   void substep() {
+    if (substeps % kSubstepsPerPeriod == 0) {
+      for (std::size_t i = 0; i < servers.size(); ++i) accounts.load(i);
+    }
     batch.step_all(kDt);
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-      servers[i]->adopt_plant_step(batch.fan_rpm(i), batch.heat_sink_celsius(i),
-                                   batch.junction_celsius(i), batch.cpu_watts(i),
-                                   batch.fan_watts(i), kDt);
+    accounts.account_range(batch, 0, servers.size(), kDt);
+    if (++substeps % kSubstepsPerPeriod == 0) {
+      for (std::size_t i = 0; i < servers.size(); ++i) accounts.store(i, batch);
     }
   }
 };
@@ -224,9 +232,9 @@ double measure_batched_ns_per_server_step(std::size_t n) {
          static_cast<double>(kSubsteps * static_cast<long>(n));
 }
 
-/// Kernel-only (step_all, no write-back) ns per server-substep on the
+/// Kernel-only (step_all, no accounting) ns per server-substep on the
 /// slewing fleet — the SIMD gate's metric: both paths share the
-/// write-back bit-for-bit, so including it would only dilute the kernel
+/// accounting bit-for-bit, so including it would only dilute the kernel
 /// comparison it exists to make.
 double measure_kernel_slewing_ns(std::optional<simd::Width> width,
                                  std::size_t n) {
@@ -324,7 +332,7 @@ bool print_throughput_verdict() {
   }
   std::printf("\n--- batched kernel throughput (n=64, settled fans) ---\n");
   std::printf("scalar  Server::step      : %8.2f ns/server-step\n", scalar_ns);
-  std::printf("batched step_all + adopt  : %8.2f ns/server-step (%.1fx)\n",
+  std::printf("batched step_all + lanes  : %8.2f ns/server-step (%.1fx)\n",
               batched_ns, scalar_ns / batched_ns);
   print_memo_hit_rates(std::nullopt);
   bool ok = true;

@@ -4,8 +4,8 @@
 // ThreadPool A/B at the same shard granularity.
 //
 // Before chunking, the shard unit was a whole rack, so a single 64-server
-// rack could not use a second thread at all (BENCH_rack_scaling.json shows
-// 8 threads *slower* than 1 at PR 4); with chunked ServerBatch stepping +
+// rack could not use a second thread at all (8 threads once ran
+// *slower* than 1); with chunked ServerBatch stepping +
 // the persistent LockstepExecutor the same rack splits into 8-lane shards
 // that step independently between coordination barriers.
 //

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/instrumentation.hpp"
 #include "sim/server.hpp"
 #include "util/units.hpp"
 #include "workload/workload_table.hpp"
@@ -18,10 +19,26 @@ void RackBatchStepper::add_slot(SimulationEngine::Session& session,
                     slots_.front().session->physics_per_period(),
             "RackBatchStepper: all slots must share the physics timing");
   }
+  ThermalViolationSink* thermal = nullptr;
+  for (InstrumentationSink* sink : session.sinks()) {
+    if (auto* t = dynamic_cast<ThermalViolationSink*>(sink)) {
+      require(thermal == nullptr,
+              "RackBatchStepper::add_slot: at most one ThermalViolationSink "
+              "per session is lane-accounted");
+      thermal = t;
+      continue;
+    }
+    require(!sink->observes_physics_steps(),
+            "RackBatchStepper::add_slot: a sink attached to this session "
+            "observes physics substeps (on_physics_step), which the batched "
+            "path accounts in lanes and never publishes; step the session "
+            "with Session::step_period, or make the sink answer "
+            "observes_physics_steps() == false");
+  }
   slots_.push_back(Slot{&session, &server});
-  active_.push_back(0);
   scalar_.push_back(0);
   batch_.add_server(server);
+  accounts_.add_lane(server, thermal);
 }
 
 void RackBatchStepper::force_scalar(std::size_t slot) {
@@ -59,6 +76,24 @@ void RackBatchStepper::advance_chunk_periods(std::size_t chunk, long periods) {
   advance_range_periods(lo, hi, periods);
 }
 
+bool RackBatchStepper::open_period(std::size_t i, bool gathered) {
+  Slot& slot = slots_[i];
+  const bool open = gathered ? slot.session->begin_period(demand_buf_[i])
+                             : slot.session->begin_period();
+  if (!open) return false;
+  batch_.set_inputs(i, slot.server->cpu_power_now(slot.session->period_executed()),
+                    slot.server->fan_speed_commanded(),
+                    slot.server->inlet_temperature());
+  accounts_.load(i);
+  return true;
+}
+
+void RackBatchStepper::close_period(std::size_t i) {
+  accounts_.store(i, batch_);
+  slots_[i].session->note_substeps_accounted();
+  slots_[i].session->finish_period();
+}
+
 void RackBatchStepper::advance_range_periods(std::size_t lo, std::size_t hi,
                                              long periods) {
   if (any_scalar_) {
@@ -73,52 +108,29 @@ void RackBatchStepper::advance_range_periods(std::size_t lo, std::size_t hi,
   const long substeps = slots_.front().session->physics_per_period();
 
   for (long p = 0; p < periods; ++p) {
-    // Phase 1 — per-slot control decisions, then the once-per-period input
-    // gather into the SoA kernel.  With a workload table attached, the
-    // range's demand is resolved FIRST in one branch-light gather loop
-    // (lane clocks agree — all sessions share the timing and advance
-    // together) and injected into begin_period, replacing one virtual
-    // demand call per slot per period.
+    // Phase 1 — per-slot control decisions, input gather, lane load.  With
+    // a workload table attached, the range's demand is resolved FIRST in
+    // one branch-light gather loop (lane clocks agree — all sessions share
+    // the timing and advance together) and injected into begin_period,
+    // replacing one virtual demand call per slot per period.
     const bool gather = table_ != nullptr;
     if (gather) {
       table_->fill_demand(slots_[lo].session->time_s(), lo, hi,
                           demand_buf_.data());
     }
     bool any_active = false;
-    for (std::size_t i = lo; i < hi; ++i) {
-      Slot& slot = slots_[i];
-      active_[i] = (gather ? slot.session->begin_period(demand_buf_[i])
-                           : slot.session->begin_period())
-                       ? 1
-                       : 0;
-      if (!active_[i]) continue;
-      any_active = true;
-      batch_.set_inputs(i,
-                        slot.server->cpu_power_now(slot.session->period_executed()),
-                        slot.server->fan_speed_commanded(),
-                        slot.server->inlet_temperature());
-    }
+    for (std::size_t i = lo; i < hi; ++i) any_active |= open_period(i, gather);
     if (!any_active) return;  // all sessions in this range are done
 
-    // Phase 2 — batched physics: one SoA step over the range, then the
-    // per-slot write-back (sensor, energy, instrumentation).
+    // Phase 2 — batched physics and accounting over the range.
     for (long s = 0; s < substeps; ++s) {
       batch_.step_range(lo, hi, dt);
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (!active_[i]) continue;
-        Slot& slot = slots_[i];
-        slot.server->adopt_plant_step(batch_.fan_rpm(i),
-                                      batch_.heat_sink_celsius(i),
-                                      batch_.junction_celsius(i),
-                                      batch_.cpu_watts(i), batch_.fan_watts(i),
-                                      dt);
-        slot.session->note_substep();
-      }
+      accounts_.account_range(batch_, lo, hi, dt);
     }
 
-    // Phase 3 — close the period on every slot in the range.
+    // Phase 3 — write back and close the period on every opened slot.
     for (std::size_t i = lo; i < hi; ++i) {
-      if (active_[i]) slots_[i].session->finish_period();
+      if (accounts_.loaded(i)) close_period(i);
     }
   }
 }
@@ -151,9 +163,7 @@ void RackBatchStepper::advance_range_periods_masked(std::size_t lo,
     // against the batched lanes is free).
     bool any_forced_active = false;
     for (std::size_t i = lo; i < hi; ++i) {
-      if (!scalar_[i]) continue;
-      active_[i] = 0;
-      if (slots_[i].session->done()) continue;
+      if (!scalar_[i] || slots_[i].session->done()) continue;
       slots_[i].session->step_period();
       any_forced_active = true;
     }
@@ -161,35 +171,24 @@ void RackBatchStepper::advance_range_periods_masked(std::size_t lo,
     // Batched lanes: the same three phases as the unmasked path, over the
     // non-forced sub-ranges.
     bool any_batched_active = false;
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (scalar_[i]) continue;
-      Slot& slot = slots_[i];
-      active_[i] = slot.session->begin_period() ? 1 : 0;
-      if (!active_[i]) continue;
-      any_batched_active = true;
-      batch_.set_inputs(i,
-                        slot.server->cpu_power_now(slot.session->period_executed()),
-                        slot.server->fan_speed_commanded(),
-                        slot.server->inlet_temperature());
+    for (const auto& [a, b] : segments) {
+      for (std::size_t i = a; i < b; ++i) {
+        any_batched_active |= open_period(i, false);
+      }
     }
     if (!any_batched_active && !any_forced_active) return;  // range is done
 
     if (any_batched_active) {
       for (long s = 0; s < substeps; ++s) {
-        for (const auto& [a, b] : segments) batch_.step_range(a, b, dt);
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (!active_[i]) continue;
-          Slot& slot = slots_[i];
-          slot.server->adopt_plant_step(batch_.fan_rpm(i),
-                                        batch_.heat_sink_celsius(i),
-                                        batch_.junction_celsius(i),
-                                        batch_.cpu_watts(i),
-                                        batch_.fan_watts(i), dt);
-          slot.session->note_substep();
+        for (const auto& [a, b] : segments) {
+          batch_.step_range(a, b, dt);
+          accounts_.account_range(batch_, a, b, dt);
         }
       }
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (active_[i]) slots_[i].session->finish_period();
+      for (const auto& [a, b] : segments) {
+        for (std::size_t i = a; i < b; ++i) {
+          if (accounts_.loaded(i)) close_period(i);
+        }
       }
     }
   }

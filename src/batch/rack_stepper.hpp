@@ -1,22 +1,39 @@
 // Drives N (SimulationEngine::Session, Server) pairs — one rack — through
-// whole CPU control periods with the plant math batched in a ServerBatch.
+// whole CPU control periods with the plant math batched in a ServerBatch
+// and the per-substep accounting in a LaneAccounting.
 //
 // Per period it runs the three session phases (sim/engine.hpp):
 //
 //   1. every slot's begin_period() in slot order (policy decision, fan
-//      command, workload resolution) — control stays per-entity;
-//   2. the per-slot inputs are gathered ONCE into the SoA kernel (CPU
-//      power at the period's executed utilization, the clamped fan
-//      command, the current inlet temperature), then each physics substep
-//      is one ServerBatch::step_range over the slots followed by the
-//      write-back into each Server (sensor + energy + instrumentation);
-//   3. every slot's finish_period().
+//      command, workload resolution) — control stays per-entity; then the
+//      per-slot inputs are gathered ONCE into the SoA kernel (CPU power at
+//      the period's executed utilization, the clamped fan command, the
+//      current inlet temperature) and the slot's accounting lanes are
+//      loaded from its Server and ThermalViolationSink;
+//   2. each physics substep is one ServerBatch::step_range over the slots
+//      followed by one fused LaneAccounting::account_range pass (energy,
+//      junction statistics, violation time, sensor phase; the sensor's
+//      cold sample path only at sample instants).  No per-server,
+//      per-substep virtual call, object write or require() is made;
+//   3. every slot's accounting lanes are stored back — the Server adopts
+//      the batch's actuator and thermal state, the meters and the sink
+//      get their integrals — and the session closes the period
+//      (note_substeps_accounted() + finish_period()).
 //
 // Slots never interact inside a period (rack coupling happens at the
 // coordination barriers, between advance calls), so interleaving the slots
 // substep-by-substep instead of slot-by-slot performs the exact same
 // per-slot FP operation sequence as the scalar path — trajectories are
-// bit-identical, only the loop nest (and the speed) changes.
+// bit-identical, only the loop nest (and the speed) changes.  And because
+// phase 3 writes everything back, the Servers and sinks are exact at every
+// period boundary: policies, coordinators, observations, snapshots, fault
+// arming and finish() see what the scalar path shows them.
+//
+// Sinks: a session's sinks get no on_physics_step on this path.
+// add_slot() therefore accepts only sinks that do not observe physics
+// steps (InstrumentationSink::observes_physics_steps) plus at most one
+// ThermalViolationSink, whose state the accounting lanes carry; any other
+// sink is rejected with std::invalid_argument.
 //
 // Chunking: because slots are independent between barriers, the batch
 // splits into contiguous lane *chunks* that can advance whole coordination
@@ -24,15 +41,19 @@
 // c's slots and touches no shared mutable state (call prepare() once,
 // single-threaded, first).  This is what lets the lockstep engines shard a
 // rack across a LockstepExecutor: chunks parallelise across threads,
-// lanes vectorize within a chunk.  advance_periods() remains the
-// whole-batch (single-chunk) path.
+// lanes vectorize within a chunk.  Every per-lane array a chunk writes is
+// cache-line aligned, so chunk widths that are multiples of 8 lanes share
+// no cache line.  advance_periods() remains the whole-batch (single-chunk)
+// path.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "batch/lane_accounting.hpp"
 #include "batch/server_batch.hpp"
 #include "sim/engine.hpp"
+#include "util/lane_vector.hpp"
 
 namespace fsc {
 
@@ -50,7 +71,9 @@ class RackBatchStepper {
   /// Register a slot.  The session must be freshly constructed (settled,
   /// zero periods stepped) so the gathered plant state matches; all slots
   /// must share the session timing (the engines validate that).  Both
-  /// references are borrowed and must outlive the stepper.
+  /// references are borrowed and must outlive the stepper.  Throws
+  /// std::invalid_argument when a sink attached to the session needs
+  /// on_physics_step (see the file comment).
   void add_slot(SimulationEngine::Session& session, Server& server);
 
   std::size_t size() const noexcept { return slots_.size(); }
@@ -137,17 +160,25 @@ class RackBatchStepper {
   void advance_range_periods_masked(std::size_t lo, std::size_t hi,
                                     long periods);
 
+  /// Phase 1 for lane i: open the session's period and, when it opened,
+  /// gather the kernel inputs and load the accounting lanes.
+  bool open_period(std::size_t i, bool gathered);
+  /// Phase 3 for lane i, when phase 1 opened a period.
+  void close_period(std::size_t i);
+
   std::vector<Slot> slots_;
-  std::vector<char> active_;  ///< per-period: slot opened a period
   std::vector<char> scalar_;  ///< lanes forced onto the scalar path
   bool any_scalar_ = false;
   ServerBatch batch_;
+  /// Per-substep accounting; its loaded() flag marks the lanes that opened
+  /// a period on the batched path.
+  LaneAccounting accounts_;
   std::size_t chunk_lanes_ = 0;  ///< 0 = kAutoChunkLanes
   const WorkloadTable* table_ = nullptr;  ///< batched demand (null = classic)
   /// Per-slot demand scratch for the gather — sized once in prepare();
-  /// concurrent chunks write disjoint [lo, hi) sub-ranges, so one buffer
-  /// serves all threads without races.
-  std::vector<double> demand_buf_;
+  /// concurrent chunks write disjoint [lo, hi) sub-ranges of its
+  /// cache-line-aligned lanes, so one buffer serves all threads.
+  LaneVector<double> demand_buf_;
 };
 
 }  // namespace fsc

@@ -136,9 +136,9 @@ void ServerBatch::step_range(std::size_t lo, std::size_t hi, double dt) {
       // block granularity.  Slot attribution by lane range keeps the
       // per-slot counter breakdown independent of which thread ran this
       // chunk.
-      memo_hits_c_->add(stats.hits, memo_slot_salt_ + lo);
-      memo_shared_hits_c_->add(stats.shared, memo_slot_salt_ + lo);
-      memo_misses_c_->add(stats.misses, memo_slot_salt_ + lo);
+      memo_hits_c_->add(stats.hits, memo_slot(lo));
+      memo_shared_hits_c_->add(stats.shared, memo_slot(lo));
+      memo_misses_c_->add(stats.misses, memo_slot(lo));
     }
     return;
   }
@@ -192,9 +192,9 @@ void ServerBatch::step_range(std::size_t lo, std::size_t hi, double dt) {
     }
     if (memo_telemetry_) {
       const std::uint64_t lanes = static_cast<std::uint64_t>(hi - lo);
-      memo_hits_c_->add(lanes - misses - shared, memo_slot_salt_ + lo);
-      memo_shared_hits_c_->add(shared, memo_slot_salt_ + lo);
-      memo_misses_c_->add(misses, memo_slot_salt_ + lo);
+      memo_hits_c_->add(lanes - misses - shared, memo_slot(lo));
+      memo_shared_hits_c_->add(shared, memo_slot(lo));
+      memo_misses_c_->add(misses, memo_slot(lo));
     }
   }
 

@@ -28,10 +28,16 @@
 // usually a no-op) out of the main update loop, so pass 1 (slew select)
 // and pass 3 (multiply-add chains) auto-vectorize cleanly.
 //
-// What is NOT here: the sensor chain, energy metering, and per-slot RNG
-// stay in the Server (they are cheap, stateful, and sometimes random);
-// batch/rack_stepper.hpp mirrors each substep's results back into the
-// Servers so every observer keeps working unchanged.
+// What is NOT here: the per-substep accounting around the plant — sensor
+// sample phase, energy integrals, junction statistics — lives in the
+// companion SoA block batch/lane_accounting.hpp, which reads this batch's
+// outputs after each step_range and mirrors the plant state back into the
+// Servers once per control period.  The sensor's delay line, noise and
+// per-slot RNG stay in the Server: they are touched only at sample
+// instants, through the sensor's own cold path.
+//
+// Every lane array is a LaneVector (util/lane_vector.hpp): cache-line
+// aligned, so concurrently stepped chunks of 8 lanes never share a line.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +47,7 @@
 
 #include "batch/simd/dispatch.hpp"
 #include "obs/metrics.hpp"
+#include "util/lane_vector.hpp"
 
 namespace fsc {
 
@@ -115,9 +122,11 @@ class ServerBatch {
   /// Route the memo tallies into `registry`'s shared "batch.memo_hit" /
   /// "batch.memo_shared_hit" / "batch.memo_miss" counters — one source of
   /// truth across every batch attached to the same registry — and enable
-  /// counting.  Attribution is by LANE RANGE (slot = slot_salt + lo), never
-  /// by thread, so the per-slot breakdown is schedule-independent;
-  /// `slot_salt` offsets this batch so different racks land on different
+  /// counting.  Attribution is by LANE RANGE — slot = (slot_salt + lo) /
+  /// kLanesPerCacheLine, one slot per 8-lane chunk — never by thread, so
+  /// the per-slot breakdown is schedule-independent and neighbouring
+  /// chunks stepping concurrently tally into different cells; `slot_salt`
+  /// (a lane offset) moves this batch so different racks land on different
   /// counter slots.  Call before stepping (single-threaded).
   void attach_memo_counters(obs::MetricsRegistry& registry,
                             std::size_t slot_salt = 0) {
@@ -143,40 +152,48 @@ class ServerBatch {
   double fan_rpm(std::size_t i) const noexcept { return fan_actual_[i]; }
   double heat_sink_celsius(std::size_t i) const noexcept { return heat_sink_[i]; }
   double junction_celsius(std::size_t i) const noexcept { return junction_[i]; }
-  double cpu_watts(std::size_t i) const noexcept { return cpu_watts_[i]; }
   double fan_watts(std::size_t i) const noexcept { return fan_watts_[i]; }
+
+  /// The same outputs as raw lane arrays, for companion SoA passes over a
+  /// lane range (batch/lane_accounting.hpp).  Invalidated by add_server().
+  const double* junction_lanes() const noexcept { return junction_.data(); }
+  const double* cpu_watts_lanes() const noexcept { return cpu_watts_.data(); }
+  const double* fan_watts_lanes() const noexcept { return fan_watts_.data(); }
 
  private:
   void refresh_dt(double dt);
+  std::size_t memo_slot(std::size_t lo) const noexcept {
+    return (memo_slot_salt_ + lo) / kLanesPerCacheLine;
+  }
 
   // State (SoA, one lane per slot).
-  std::vector<double> heat_sink_;
-  std::vector<double> junction_;
-  std::vector<double> fan_actual_;
-  std::vector<double> fan_cmd_;
-  std::vector<double> cpu_watts_;   ///< per-period input
-  std::vector<double> fan_watts_;   ///< per-substep output
-  std::vector<double> ambient_;     ///< per-period input
+  LaneVector<double> heat_sink_;
+  LaneVector<double> junction_;
+  LaneVector<double> fan_actual_;
+  LaneVector<double> fan_cmd_;
+  LaneVector<double> cpu_watts_;   ///< per-period input
+  LaneVector<double> fan_watts_;   ///< per-substep output
+  LaneVector<double> ambient_;     ///< per-period input
 
   // Closed-form coefficients (constant after add_server).
-  std::vector<double> r_base_;
-  std::vector<double> r_coeff_;
-  std::vector<double> r_exp_;
-  std::vector<double> hs_capacitance_;
-  std::vector<double> r_die_;
-  std::vector<double> tau_die_;
-  std::vector<double> fan_min_;
-  std::vector<double> fan_max_;
-  std::vector<double> fan_slew_;
-  std::vector<double> fan_pmax_;
-  std::vector<double> fan_smax_;
+  LaneVector<double> r_base_;
+  LaneVector<double> r_coeff_;
+  LaneVector<double> r_exp_;
+  LaneVector<double> hs_capacitance_;
+  LaneVector<double> r_die_;
+  LaneVector<double> tau_die_;
+  LaneVector<double> fan_min_;
+  LaneVector<double> fan_max_;
+  LaneVector<double> fan_slew_;
+  LaneVector<double> fan_pmax_;
+  LaneVector<double> fan_smax_;
 
   // Memoised transcendentals: valid while the lane's fan speed (and dt)
   // stay put.  memo_rpm_ = NaN marks "recompute".
-  std::vector<double> memo_rpm_;
-  std::vector<double> r_hs_;
-  std::vector<double> hs_decay_;
-  std::vector<double> die_decay_;
+  LaneVector<double> memo_rpm_;
+  LaneVector<double> r_hs_;
+  LaneVector<double> hs_decay_;
+  LaneVector<double> die_decay_;
   double last_dt_ = -1.0;  ///< sentinel: never matches a (>= 0) step dt
 
   // Vector-path routing (set_simd): non-null diverts step_range into the

@@ -18,6 +18,7 @@
 #include "util/lockstep_executor.hpp"
 #include "workload/workload_table.hpp"
 #include "util/thread_pool.hpp"
+#include "util/lane_vector.hpp"
 #include "util/units.hpp"
 
 namespace fsc {
@@ -28,7 +29,10 @@ namespace {
 /// address (the Server keeps a pointer to the Rng, the Session keeps
 /// references to everything).  Construction order mirrors
 /// BatchRunner::run_server exactly so an uncoupled run is bit-identical.
-struct SlotRuntime {
+/// Cache-line aligned: the Server, Rng and sinks are written every period
+/// by whichever thread steps the slot's chunk, and must not share a line
+/// with the neighbouring slot of another chunk.
+struct alignas(kCacheLineBytes) SlotRuntime {
   Rng rng;
   std::shared_ptr<const Workload> workload;
   Server server;

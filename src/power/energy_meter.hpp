@@ -46,6 +46,16 @@ class EnergyMeter {
   /// Reset all accumulators to zero.
   void reset() noexcept;
 
+  /// Overwrite the accumulators — for drivers that integrate them outside
+  /// the meter with accumulate()'s exact arithmetic (batch/
+  /// lane_accounting.hpp keeps them in SoA lanes between control-period
+  /// boundaries).
+  void restore(double cpu_joules, double fan_joules, double elapsed_s) noexcept {
+    cpu_joules_ = cpu_joules;
+    fan_joules_ = fan_joules;
+    elapsed_ = elapsed_s;
+  }
+
  private:
   double cpu_joules_ = 0.0;
   double fan_joules_ = 0.0;

@@ -67,6 +67,18 @@ class SensorChain {
     }
   }
 
+  /// The cold half of observe(): noise, fault mode and push of one sample
+  /// into the delay line.  Public for batched drivers
+  /// (batch/lane_accounting.hpp) that advance the sample phase in SoA
+  /// lanes and call this at each sample instant, exactly as observe()
+  /// would.
+  void take_sample(double true_value);
+
+  /// Time since the last sample instant, in seconds.  set_phase() hands a
+  /// lane-advanced phase back at a control-period boundary.
+  double phase() const noexcept { return phase_; }
+  void set_phase(double seconds) noexcept { phase_ = seconds; }
+
   /// The reading the firmware currently sees (lagged + quantized).
   double read() const noexcept;
 
@@ -92,10 +104,6 @@ class SensorChain {
   SensorFaultMode fault() const noexcept { return fault_mode_; }
 
  private:
-  /// Noise + push of one sample into the delay line (the cold half of
-  /// observe(), out of line).
-  void take_sample(double true_value);
-
   SensorChainParams params_;
   AdcQuantizer adc_;
   Rng* rng_;

@@ -168,6 +168,12 @@ void SimulationEngine::Session::note_substep() {
   ++substeps_done_;
 }
 
+void SimulationEngine::Session::note_substeps_accounted() {
+  require(in_period_ && substeps_done_ == 0,
+          "Session::note_substeps_accounted: needs a freshly opened period");
+  substeps_done_ = physics_per_period_;
+}
+
 void SimulationEngine::Session::finish_period() {
   require(in_period_, "Session::finish_period: no period in progress");
   require(substeps_done_ == physics_per_period_,

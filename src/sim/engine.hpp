@@ -86,8 +86,17 @@ class InstrumentationSink {
   /// when SimulationParams::record_trace is set).
   virtual void on_record(const TraceRecord& /*record*/) {}
 
-  /// One plant integration substep has completed.
+  /// One plant integration substep has completed.  Published by the scalar
+  /// path only: the batched path (batch/rack_stepper.hpp) accounts
+  /// substeps in SoA lanes and makes no per-substep call.
   virtual void on_physics_step(const PhysicsSample& /*sample*/) {}
+
+  /// Whether this sink needs on_physics_step.  Defaults to true, so a sink
+  /// that overrides on_physics_step is never silently starved: the batched
+  /// path rejects a session carrying one (only ThermalViolationSink, whose
+  /// state batch/lane_accounting.hpp advances in lanes, is exempt).  Sinks
+  /// whose on_physics_step is the no-op default answer false.
+  virtual bool observes_physics_steps() const noexcept { return true; }
 
   /// The run finished after `duration_s` simulated seconds.
   virtual void on_run_end(const Server& /*server*/, double /*duration_s*/) {}
@@ -134,21 +143,23 @@ class SimulationEngine {
     /// note_substep() pairs + `finish_period()`.
     void step_period();
 
-    /// Batched-stepping mode: a driver that advances the *plant* outside
-    /// the session (batch/rack_stepper.hpp steps a whole rack's physics as
-    /// one SoA kernel) decomposes step_period() into three phases:
+    /// Phased stepping: step_period() is three phases, and a driver that
+    /// advances the *plant* outside the session runs them itself:
     ///
     ///   1. begin_period()  — policy decision, workload resolution, period
     ///      sample + trace record publication.  Returns false (and does
     ///      nothing) once done().
-    ///   2. for each of physics_per_period() substeps: advance the plant
-    ///      externally, mirror the results into the Server, then call
-    ///      note_substep() to publish the PhysicsSample to the sinks.
+    ///   2. the physics_per_period() substeps, either
+    ///      - one Server::step + note_substep() (publishes the
+    ///        PhysicsSample to the sinks) per substep, as step_period()
+    ///        does, or
+    ///      - lane-accounted (batch/rack_stepper.hpp): the whole period is
+    ///        advanced in SoA lanes, the Server and the sinks are written
+    ///        back once, and note_substeps_accounted() records it;
     ///   3. finish_period() — workload bookkeeping, period counter.
     ///
-    /// The scalar step_period() goes through the same three phases with
-    /// Server::step in the middle, so the two modes publish identical
-    /// event sequences.
+    /// Both forms leave the Server and every sink in the same state at the
+    /// period boundary.
     bool begin_period();
     /// begin_period() with the period's raw demand supplied by the caller
     /// instead of the session's own `workload_.demand(t)` virtual call —
@@ -161,6 +172,10 @@ class SimulationEngine {
     /// two are bit-identical by definition.
     bool begin_period(double raw_demand);
     void note_substep();
+    /// Record all of the open period's substeps as advanced outside the
+    /// session, with nothing left to publish per substep.  Call once,
+    /// instead of the note_substep() calls, before finish_period().
+    void note_substeps_accounted();
     void finish_period();
     /// The utilization executing during the period opened by
     /// begin_period() (what the external plant stepper feeds the CPU
@@ -228,6 +243,10 @@ class SimulationEngine {
 
     const Server& server() const noexcept { return server_; }
     const DtmPolicy& policy() const noexcept { return policy_; }
+    /// The engine's sinks, in notification order.
+    const std::vector<InstrumentationSink*>& sinks() const noexcept {
+      return engine_.sinks_;
+    }
 
    private:
     const SimulationEngine& engine_;

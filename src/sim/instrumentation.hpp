@@ -22,6 +22,7 @@ class TraceRecorderSink final : public InstrumentationSink {
     trace_.clear();
   }
   void on_record(const TraceRecord& record) override { trace_.push_back(record); }
+  bool observes_physics_steps() const noexcept override { return false; }
 
   const std::vector<TraceRecord>& trace() const noexcept { return trace_; }
   std::vector<TraceRecord> take_trace() noexcept { return std::move(trace_); }
@@ -42,6 +43,7 @@ class DeadlineStatsSink final : public InstrumentationSink {
     deadline_.record(s.demand, s.cap);
     fan_speed_stats_.add(s.fan_cmd_rpm);
   }
+  bool observes_physics_steps() const noexcept override { return false; }
 
   const DeadlineTracker& deadline() const noexcept { return deadline_; }
   const RunningStats& fan_speed_stats() const noexcept { return fan_speed_stats_; }
@@ -53,6 +55,12 @@ class DeadlineStatsSink final : public InstrumentationSink {
 
 /// Tracks the true junction temperature over physics substeps: running
 /// stats plus the time spent above the configured thermal limit.
+///
+/// The batched path never calls on_physics_step: batch/lane_accounting.hpp
+/// loads this sink's state into SoA lanes at each control-period start,
+/// advances it per substep with on_physics_step's exact arithmetic, and
+/// restore()s it at period end — so the sink is exact at every period
+/// boundary on both paths.
 class ThermalViolationSink final : public InstrumentationSink {
  public:
   void on_run_begin(const SimulationParams& params, const Server&) override {
@@ -68,6 +76,14 @@ class ThermalViolationSink final : public InstrumentationSink {
 
   const RunningStats& junction_stats() const noexcept { return junction_stats_; }
   double violation_time_s() const noexcept { return violation_time_s_; }
+  double limit_celsius() const noexcept { return limit_celsius_; }
+
+  /// Hand back lane-advanced state (see the class comment).
+  void restore(const RunningStats::State& junction,
+               double violation_time_s) noexcept {
+    junction_stats_.restore(junction);
+    violation_time_s_ = violation_time_s;
+  }
 
   /// Fraction of `duration_s` spent above the limit; 0 for non-positive
   /// durations.
@@ -91,6 +107,7 @@ class EnergyAccumulatorSink final : public InstrumentationSink {
     cpu_energy_joules_ = server.energy().cpu_energy();
     duration_s_ = duration_s;
   }
+  bool observes_physics_steps() const noexcept override { return false; }
 
   double fan_energy_joules() const noexcept { return fan_energy_joules_; }
   double cpu_energy_joules() const noexcept { return cpu_energy_joules_; }

@@ -49,21 +49,24 @@ class Server {
   /// point; the actuator jumps to the speed instantly.
   void settle(double u_executed, double fan_rpm);
 
-  /// Batched-stepping write-back: the SoA kernel (batch/server_batch.hpp)
-  /// has already advanced this server's actuator + thermal plant by `dt`
-  /// seconds with the same expressions step() would have used; mirror the
-  /// results and advance the parts that stay per-server — the sensor chain
-  /// observes the new junction and the energy meter accounts the substep —
-  /// in exactly step()'s order.  After this call the Server is
+  /// Batched-stepping mirror, once per control period: the SoA kernel
+  /// (batch/server_batch.hpp) has advanced this server's actuator and
+  /// thermal plant with the same expressions step() uses; adopt the
+  /// resulting state.  The sensor phase and the energy integrals come back
+  /// separately through sensor_chain() and energy_meter()
+  /// (batch/lane_accounting.hpp), after which the Server is
   /// indistinguishable from one advanced by step().
-  void adopt_plant_step(double fan_rpm, double heat_sink_celsius,
-                        double junction_celsius, double cpu_watts,
-                        double fan_watts, double dt) {
+  void adopt_plant_state(double fan_rpm, double heat_sink_celsius,
+                         double junction_celsius) noexcept {
     actuator_.adopt_speed(fan_rpm);
     params_.thermal.set_state(heat_sink_celsius, junction_celsius);
-    sensor_.observe(junction_celsius, dt);
-    energy_.accumulate(cpu_watts, fan_watts, dt);
   }
+
+  /// Batched-driver access to the per-substep accumulators, which live in
+  /// SoA lanes between control-period boundaries on the batched path.
+  SensorChain& sensor_chain() noexcept { return sensor_; }
+  const SensorChain& sensor_chain() const noexcept { return sensor_; }
+  EnergyMeter& energy_meter() noexcept { return energy_; }
 
   /// The measurement the firmware sees (lagged + quantized).
   double measured_temp() const noexcept { return sensor_.read(); }

@@ -49,6 +49,27 @@ class RunningStats {
   /// Reset to the freshly-constructed state.
   void reset() noexcept;
 
+  /// The raw accumulator, for drivers that advance it outside the object
+  /// with add()'s exact arithmetic (batch/lane_accounting.hpp keeps it in
+  /// SoA lanes between control-period boundaries).
+  struct State {
+    std::size_t n = 0;
+    double mean = 0.0;
+    double m2 = 0.0;
+    double sum = 0.0;
+    double min = 1e300;
+    double max = -1e300;
+  };
+  State state() const noexcept { return {n_, mean_, m2_, sum_, min_, max_}; }
+  void restore(const State& s) noexcept {
+    n_ = s.n;
+    mean_ = s.mean;
+    m2_ = s.m2;
+    sum_ = s.sum;
+    min_ = s.min;
+    max_ = s.max;
+  }
+
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

@@ -5,6 +5,10 @@
 //   * ServerBatch at N = 1 against Server::step and against
 //     ServerThermalModel::step (the scalar step is the N = 1 wrapper over
 //     the same plant_kernel.hpp expressions);
+//   * RackBatchStepper's lane accounting (sensor phase, energy, junction
+//     statistics) against per-slot scalar Session::step_period, at every
+//     period boundary, across chunk widths, thread counts and a
+//     mid-run force_scalar;
 //   * a full coupled rack run through the batched CoupledRackEngine
 //     against the scalar (one-task-per-server) path, across 1/2/8 threads;
 //   * a full scheduled room likewise.
@@ -16,13 +20,21 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "batch/lane_accounting.hpp"
 #include "batch/plant_kernel.hpp"
+#include "batch/rack_stepper.hpp"
 #include "batch/server_batch.hpp"
 #include "coord/coupled_rack_engine.hpp"
+#include "core/policy_factory.hpp"
+#include "rack/rack.hpp"
 #include "room/room_engine.hpp"
+#include "sim/instrumentation.hpp"
 #include "sim/server.hpp"
 #include "thermal/server_thermal_model.hpp"
+#include "util/lockstep_executor.hpp"
 #include "util/rng.hpp"
 
 namespace fsc {
@@ -56,14 +68,22 @@ TEST(PlantKernel, SlewLandsExactlyOnCommandWithinReach) {
 // -------------------------------------------------- N = 1 vs Server::step
 
 TEST(ServerBatch, N1BitIdenticalToScalarServerStep) {
+  // Noisy sensor on a sample period that is not a multiple of dt: the
+  // lane accounting must take each sample at the same substep, with the
+  // same Rng draw, as SensorChain::observe.
+  ServerParams params;
+  params.sensor.noise_stddev = 0.4;
+  params.sensor.sample_period_s = 0.73;
   Rng rng_a(7);
   Rng rng_b(7);
-  Server scalar = Server::table1_defaults(rng_a);
-  Server batched = Server::table1_defaults(rng_b);
+  Server scalar(params, 2000.0, rng_a);
+  Server batched(params, 2000.0, rng_b);
 
   ServerBatch batch;
   ASSERT_EQ(batch.add_server(batched), 0u);
   ASSERT_EQ(batch.size(), 1u);
+  LaneAccounting accounts;
+  ASSERT_EQ(accounts.add_lane(batched, nullptr), 0u);
 
   for (long period = 0; period < 120; ++period) {
     // Exercise all regimes: load square wave, fan commands that slew for
@@ -78,21 +98,25 @@ TEST(ServerBatch, N1BitIdenticalToScalarServerStep) {
     }
     batch.set_inputs(0, batched.cpu_power_now(u), batched.fan_speed_commanded(),
                      batched.inlet_temperature());
+    accounts.load(0);
     for (long s = 0; s < kSubstepsPerPeriod; ++s) {
       scalar.step(u, kDt);
       batch.step_all(kDt);
-      batched.adopt_plant_step(batch.fan_rpm(0), batch.heat_sink_celsius(0),
-                               batch.junction_celsius(0), batch.cpu_watts(0),
-                               batch.fan_watts(0), kDt);
-      ASSERT_EQ(scalar.true_junction(), batched.true_junction())
+      accounts.account_range(batch, 0, 1, kDt);
+      ASSERT_EQ(scalar.true_junction(), batch.junction_celsius(0))
           << "period " << period << " substep " << s;
-      ASSERT_EQ(scalar.true_heat_sink(), batched.true_heat_sink());
-      ASSERT_EQ(scalar.fan_speed_actual(), batched.fan_speed_actual());
-      ASSERT_EQ(scalar.measured_temp(), batched.measured_temp());
+      ASSERT_EQ(scalar.true_heat_sink(), batch.heat_sink_celsius(0));
+      ASSERT_EQ(scalar.fan_speed_actual(), batch.fan_rpm(0));
     }
+    accounts.store(0, batch);
+    ASSERT_EQ(scalar.true_junction(), batched.true_junction()) << period;
+    ASSERT_EQ(scalar.true_heat_sink(), batched.true_heat_sink());
+    ASSERT_EQ(scalar.fan_speed_actual(), batched.fan_speed_actual());
+    ASSERT_EQ(scalar.measured_temp(), batched.measured_temp()) << period;
+    ASSERT_EQ(scalar.energy().fan_energy(), batched.energy().fan_energy());
+    ASSERT_EQ(scalar.energy().cpu_energy(), batched.energy().cpu_energy());
+    ASSERT_EQ(scalar.energy().elapsed(), batched.energy().elapsed());
   }
-  EXPECT_EQ(scalar.energy().fan_energy(), batched.energy().fan_energy());
-  EXPECT_EQ(scalar.energy().cpu_energy(), batched.energy().cpu_energy());
 }
 
 TEST(ServerBatch, N1BitIdenticalToThermalModelStep) {
@@ -131,20 +155,25 @@ TEST(ServerBatch, DtChangeRefreshesTheMemoisedDecays) {
   Server batched = Server::table1_defaults(rng_b);
   ServerBatch batch;
   batch.add_server(batched);
+  LaneAccounting accounts;
+  accounts.add_lane(batched, nullptr);
   batch.set_inputs(0, batched.cpu_power_now(0.6), 4000.0, batched.inlet_temperature());
   scalar.command_fan(4000.0);
   batched.command_fan(4000.0);
 
   for (double dt : {0.05, 0.05, 0.1, 0.05, 0.025}) {
+    accounts.load(0);
     for (int s = 0; s < 10; ++s) {
       scalar.step(0.6, dt);
       batch.step_all(dt);
-      batched.adopt_plant_step(batch.fan_rpm(0), batch.heat_sink_celsius(0),
-                               batch.junction_celsius(0), batch.cpu_watts(0),
-                               batch.fan_watts(0), dt);
-      ASSERT_EQ(scalar.true_junction(), batched.true_junction()) << "dt " << dt;
-      ASSERT_EQ(scalar.true_heat_sink(), batched.true_heat_sink());
+      accounts.account_range(batch, 0, 1, dt);
+      ASSERT_EQ(scalar.true_junction(), batch.junction_celsius(0)) << "dt " << dt;
+      ASSERT_EQ(scalar.true_heat_sink(), batch.heat_sink_celsius(0));
     }
+    accounts.store(0, batch);
+    ASSERT_EQ(scalar.measured_temp(), batched.measured_temp()) << "dt " << dt;
+    ASSERT_EQ(scalar.energy().cpu_energy(), batched.energy().cpu_energy());
+    ASSERT_EQ(scalar.energy().elapsed(), batched.energy().elapsed());
   }
 }
 
@@ -251,6 +280,193 @@ TEST(ServerBatch, CommandIsClampedIntoTheFanEnvelope) {
   batch.set_inputs(0, 100.0, 0.0, 42.0);
   for (int s = 0; s < 400; ++s) batch.step_all(kDt);
   EXPECT_EQ(batch.fan_rpm(0), server.params().fan.min_rpm);
+}
+
+// ------------------- lane accounting: RackBatchStepper vs scalar sessions
+
+/// One slot built the way the rack engine builds it: seeded plant,
+/// workload and policy, and the three standard sinks on its own engine.
+struct LaneSlot {
+  Rng rng;
+  std::shared_ptr<const Workload> workload;
+  Server server;
+  std::unique_ptr<DtmPolicy> policy;
+  SimulationEngine engine;
+  DeadlineStatsSink deadline;
+  ThermalViolationSink thermal;
+  EnergyAccumulatorSink energy;
+  std::unique_ptr<SimulationEngine::Session> session;
+
+  LaneSlot(const RackServerSpec& spec, const RackParams& rack)
+      : rng(spec.seed),
+        workload(make_slot_workload(spec, rng)),
+        server(spec.server, spec.solution.initial_fan_rpm, rng),
+        policy(PolicyFactory::instance().make(rack.policy, spec.solution)),
+        engine(rack.sim) {
+    engine.add_sink(&deadline);
+    engine.add_sink(&thermal);
+    engine.add_sink(&energy);
+    session = std::make_unique<SimulationEngine::Session>(engine, server,
+                                                          *policy, *workload);
+  }
+};
+
+/// Everything the lane accounting writes back, at one period boundary.
+struct LaneState {
+  double cpu_j, fan_j, elapsed_s;
+  RunningStats::State junction;
+  double violation_s;
+  double measured_c;
+};
+
+LaneState lane_state(const LaneSlot& slot) {
+  const EnergyMeter& e = slot.server.energy();
+  return {e.cpu_energy(),
+          e.fan_energy(),
+          e.elapsed(),
+          slot.thermal.junction_stats().state(),
+          slot.thermal.violation_time_s(),
+          slot.server.measured_temp()};
+}
+
+void expect_same_lane(const LaneState& want, const LaneState& got) {
+  EXPECT_EQ(want.cpu_j, got.cpu_j);
+  EXPECT_EQ(want.fan_j, got.fan_j);
+  EXPECT_EQ(want.elapsed_s, got.elapsed_s);
+  EXPECT_EQ(want.junction.n, got.junction.n);
+  EXPECT_EQ(want.junction.mean, got.junction.mean);
+  EXPECT_EQ(want.junction.m2, got.junction.m2);
+  EXPECT_EQ(want.junction.sum, got.junction.sum);
+  EXPECT_EQ(want.junction.min, got.junction.min);
+  EXPECT_EQ(want.junction.max, got.junction.max);
+  EXPECT_EQ(want.violation_s, got.violation_s);
+  EXPECT_EQ(want.measured_c, got.measured_c);
+}
+
+constexpr std::size_t kLaneSlots = 10;
+constexpr long kLanePeriods = 90;
+constexpr long kForcePeriod = 40;    ///< force_scalar(kForcedSlot) here
+constexpr std::size_t kForcedSlot = 4;
+
+/// A 10-slot rack whose sensors are noisy (every sample draws from the
+/// slot's Rng) and sampled on a period that is not a multiple of dt, with
+/// a limit low enough that violation time accrues.
+RackParams lane_rack() {
+  RackParams rack = default_coupled_scenario(99, 90.0).rack;
+  rack.num_servers = kLaneSlots;
+  rack.server.sensor.noise_stddev = 0.5;
+  rack.server.sensor.sample_period_s = 0.73;
+  rack.sim.thermal_limit_celsius = 62.0;
+  return rack;
+}
+
+std::vector<std::unique_ptr<LaneSlot>> make_lane_slots(const RackParams& rack_params) {
+  const Rack rack(rack_params);
+  std::vector<std::unique_ptr<LaneSlot>> slots;
+  for (const RackServerSpec& spec : rack.servers()) {
+    slots.push_back(std::make_unique<LaneSlot>(spec, rack_params));
+  }
+  return slots;
+}
+
+TEST(LaneAccounting, StepperMatchesScalarSessionsEveryPeriod) {
+  const RackParams rack = lane_rack();
+
+  // Reference: every slot through the scalar Session::step_period.
+  std::vector<std::vector<LaneState>> want(kLanePeriods);
+  {
+    auto slots = make_lane_slots(rack);
+    for (long p = 0; p < kLanePeriods; ++p) {
+      for (auto& slot : slots) {
+        slot->session->step_period();
+        want[p].push_back(lane_state(*slot));
+      }
+    }
+  }
+  // The run must exercise what is being compared.
+  ASSERT_GT(want.back()[0].violation_s, 0.0);
+  ASSERT_GT(want.back()[0].junction.n, 0u);
+
+  for (std::size_t chunk :
+       {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{0},
+        kLaneSlots}) {
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("chunk=" + std::to_string(chunk) +
+                   " threads=" + std::to_string(threads));
+      auto slots = make_lane_slots(rack);
+      RackBatchStepper stepper;
+      stepper.set_chunk_lanes(chunk);
+      for (auto& slot : slots) stepper.add_slot(*slot->session, slot->server);
+      stepper.prepare();
+      LockstepExecutor executor(threads);
+      for (long p = 0; p < kLanePeriods; ++p) {
+        if (p == kForcePeriod) stepper.force_scalar(kForcedSlot);
+        executor.run(stepper.num_chunks(), [&stepper](std::size_t c) {
+          stepper.advance_chunk_periods(c, 1);
+        });
+        for (std::size_t i = 0; i < kLaneSlots; ++i) {
+          SCOPED_TRACE("period=" + std::to_string(p) +
+                       " slot=" + std::to_string(i));
+          expect_same_lane(want[p][i], lane_state(*slots[i]));
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+/// A sink that needs every substep: the batched path cannot serve it.
+class SubstepCounterSink final : public InstrumentationSink {
+ public:
+  void on_physics_step(const PhysicsSample& /*sample*/) override { ++steps_; }
+
+ private:
+  long steps_ = 0;
+};
+
+/// A custom sink that leaves on_physics_step alone and says so.
+class PeriodOnlySink final : public InstrumentationSink {
+ public:
+  void on_period(const PeriodSample& /*sample*/) override { ++periods_; }
+  bool observes_physics_steps() const noexcept override { return false; }
+
+ private:
+  long periods_ = 0;
+};
+
+TEST(LaneAccounting, StepperRejectsASinkThatObservesPhysicsSteps) {
+  RackParams rack = lane_rack();
+  rack.num_servers = 1;
+  const RackServerSpec spec = Rack(rack).server(0);
+  LaneSlot slot(spec, rack);
+  SubstepCounterSink counter;
+  slot.engine.add_sink(&counter);
+  SimulationEngine::Session session(slot.engine, slot.server, *slot.policy,
+                                    *slot.workload);
+  RackBatchStepper stepper;
+  try {
+    stepper.add_slot(session, slot.server);
+    FAIL() << "a sink that observes physics steps must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("on_physics_step"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(stepper.size(), 0u);
+}
+
+TEST(LaneAccounting, StepperAcceptsSinksThatDeclareNoPhysicsSteps) {
+  RackParams rack = lane_rack();
+  rack.num_servers = 1;
+  const RackServerSpec spec = Rack(rack).server(0);
+  LaneSlot slot(spec, rack);
+  PeriodOnlySink periods;
+  slot.engine.add_sink(&periods);
+  SimulationEngine::Session session(slot.engine, slot.server, *slot.policy,
+                                    *slot.workload);
+  RackBatchStepper stepper;
+  EXPECT_NO_THROW(stepper.add_slot(session, slot.server));
+  EXPECT_NO_THROW(stepper.advance_periods(3));
+  EXPECT_EQ(session.periods_done(), 3);
 }
 
 // --------------------------------------- full rack: batched vs scalar path

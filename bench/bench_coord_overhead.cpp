@@ -2,9 +2,10 @@
 //
 // Two questions, one harness:
 //
-//   * overhead — what do the lockstep barriers cost?  BM_UncoupledBatch
-//     (BatchRunner, no barriers) vs BM_CoupledRack/independent (barriers,
-//     no-op coordinator) is the pure synchronisation tax; the other
+//   * overhead — what does coordination cost?  BM_UncoupledRack (the
+//     "independent" coordinator with the plenum off — bit-identical to
+//     per-slot runs, test_coord) vs BM_CoupledRack/independent (plenum
+//     coupling, no-op coordinator) is the physics-coupling tax; the other
 //     coordinators add their arbitration on top.
 //   * benefit — each timed run also reports rack totals as counters
 //     (total_kj, ddl_viol_pct, thr_viol_pct), and after the timing loop
@@ -28,8 +29,6 @@
 #include "verdict.hpp"
 
 #include "coord/coupled_rack_engine.hpp"
-#include "rack/batch_runner.hpp"
-#include "rack/rack.hpp"
 
 namespace {
 
@@ -54,18 +53,19 @@ void report_counters(benchmark::State& state, const CoupledRackResult& r) {
   state.counters["thr_viol_pct"] = r.thermal_violation_percent;
 }
 
-/// The no-barrier reference: the same rack specs run embarrassingly
-/// parallel (no plenum, no coordinator, no lockstep).
-void BM_UncoupledBatch(benchmark::State& state) {
-  const Rack rack(scenario("independent").rack);
-  const BatchRunner runner(bench_threads());
+/// The uncoupled reference: the same rack specs with no plenum and a no-op
+/// coordinator, so every slot runs as if alone.
+void BM_UncoupledRack(benchmark::State& state) {
+  CoupledRackParams p = scenario("independent");
+  p.plenum_enabled = false;
+  const CoupledRackEngine engine(p, bench_threads());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.run(rack));
+    benchmark::DoNotOptimize(engine.run());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(rack.size()));
+                          static_cast<int64_t>(p.rack.num_servers));
 }
-BENCHMARK(BM_UncoupledBatch)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_UncoupledRack)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_CoupledRack(benchmark::State& state, const std::string& coordinator) {
   const CoupledRackEngine engine(scenario(coordinator), bench_threads());

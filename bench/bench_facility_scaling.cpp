@@ -1,28 +1,14 @@
-// Facility-tier scaling (this PR's tentpole): the two-level
-// topology-aware executor vs the flat single-barrier baseline, and the
-// O(100k)-server capacity gate.
+// Facility-tier scaling: the two-level topology-aware executor's thread
+// scaling curve, and the O(100k)-server capacity gate.
 //
-// Two claims are enforced through bench/verdict.hpp after the timing
-// loops:
-//
-//   * capacity: a 100,000-server facility (8 rooms x 25 racks x 500
-//     slots) simulates a FULL DAY against a constrained cooling plant
-//     with a diurnal supply profile — at facility-coarse timing (5 s
-//     plant step, 1 min control period, 10 min coordination rounds,
-//     hourly facility barriers) — and stays within the memory budget
-//     (ru_maxrss).  Wall time is reported, not gated: it is
-//     host-dependent; the budget that makes 100k feasible at all is
-//     memory.
-//   * two-level wins: on a multi-room facility at min(8, cores) threads,
-//     the hierarchical executor (per-room worker groups, private
-//     barriers) beats the flat executor (every room chunk behind one
-//     global barrier per room round).  The target derates linearly with
-//     the ways actually present, and a single-core host SKIPs — there is
-//     no cross-group contention to save when one core time-slices
-//     everything.
-//
-// Both executors produce bit-identical results (test_facility EXPECT_EQs
-// it); this bench measures only the cost of the synchronization shape.
+// The capacity claim is enforced through bench/verdict.hpp after the
+// timing loops: a 100,000-server facility (8 rooms x 25 racks x 500 slots)
+// simulates a FULL DAY against a constrained cooling plant with a diurnal
+// supply profile — at facility-coarse timing (5 s plant step, 1 min
+// control period, 10 min coordination rounds, hourly facility barriers) —
+// and stays within the memory budget (ru_maxrss).  Wall time is reported,
+// not gated: it is host-dependent; the budget that makes 100k feasible at
+// all is memory.
 //
 // Writes BENCH_facility_scaling.json (override via FSC_BENCH_JSON) with
 // the same schema as the other BENCH_*.json trajectory files.  On a
@@ -66,17 +52,15 @@ double maxrss_mib() {
 }
 
 /// A facility at engine-default timing (0.05 s plant step, 1 s control
-/// period, 30 s rounds) for the executor A/B: rooms of the contended
-/// default scenario, unconstrained plant (the executor comparison must
-/// not depend on throttle trajectories).
-FacilityParams ab_facility(std::size_t rooms, std::size_t racks,
-                           std::size_t slots, double duration_s,
-                           bool two_level) {
+/// period, 30 s rounds): rooms of the contended default scenario under an
+/// unconstrained plant, so the curve does not depend on throttle
+/// trajectories.
+FacilityParams curve_facility(std::size_t rooms, std::size_t racks,
+                              std::size_t slots, double duration_s) {
   FacilityParams f = default_facility_scenario(rooms, racks, 42, duration_s);
   for (RoomParams& room : f.rooms) {
     for (CoupledRackParams& rack : room.racks) rack.rack.num_servers = slots;
   }
-  f.two_level = two_level;
   return f;
 }
 
@@ -110,7 +94,6 @@ FacilityParams day_facility(std::size_t rooms, std::size_t racks,
   f.plant.capacity_watts = 0.9 * fleet * 100.0;
   f.plant.supply_amplitude_c = 4.0;
   f.facility_period_s = 3600.0;
-  f.two_level = true;
   return f;
 }
 
@@ -125,10 +108,8 @@ bool skip_multithread_row(benchmark::State& state, std::size_t threads) {
 void BM_FacilityLockstep(benchmark::State& state) {
   const auto rooms = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));
-  const bool two_level = state.range(2) != 0;
   if (skip_multithread_row(state, threads)) return;
-  const FacilityEngine engine(ab_facility(rooms, 2, 8, 300.0, two_level),
-                              threads);
+  const FacilityEngine engine(curve_facility(rooms, 2, 8, 300.0), threads);
   std::size_t servers = 0;
   for (auto _ : state) {
     const FacilityResult r = engine.run();
@@ -138,70 +119,24 @@ void BM_FacilityLockstep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(servers));
   state.counters["threads"] = static_cast<double>(threads);
-  state.counters["two_level"] = two_level ? 1.0 : 0.0;
 }
 
-// Two-level rows chart the facility scaling curve; the flat rows at the
-// same shape isolate the synchronization topology's own contribution.
 BENCHMARK(BM_FacilityLockstep)
-    ->Args({4, 1, 1})
-    ->Args({4, 2, 1})
-    ->Args({4, 8, 1})
-    ->Args({4, 1, 0})
-    ->Args({4, 8, 0})
+    ->Args({4, 1})
+    ->Args({4, 2})
+    ->Args({4, 8})
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.5)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-/// Min-of-3 plain-chrono wall time of one engine run (the
-/// google-benchmark results are not programmatically accessible here).
-double measure_seconds(const FacilityEngine& engine, int reps = 3) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(engine.run());
-    const auto stop = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(stop - start).count());
-  }
-  return best;
-}
-
 bool print_facility_verdict() {
   const unsigned hw_raw = std::thread::hardware_concurrency();
-  const std::size_t hw = hw_raw == 0 ? 1 : hw_raw;
-  const double ways = static_cast<double>(std::min<std::size_t>(8, hw));
-  const auto team = static_cast<std::size_t>(ways);
+  const std::size_t team =
+      std::min<std::size_t>(8, hw_raw == 0 ? 1 : hw_raw);
   bool ok = true;
 
   std::printf("\n--- facility topology ---\n%s\n", cpu_topology_line().c_str());
-
-  // ---- two-level vs flat (A/B at identical shape and results) ----------
-  std::printf(
-      "\n--- two-level vs flat executor (8 rooms x 2 racks x 16 slots, "
-      "300 s, %zu threads) ---\n",
-      team);
-  if (hw < 2) {
-    std::printf(
-        "[SKIP] single-core host: one core time-slices both executors and "
-        "there is no cross-group synchronization to save; the executor "
-        "verdict runs on multi-core CI\n");
-  } else {
-    const FacilityEngine two(ab_facility(8, 2, 16, 300.0, true), team);
-    const FacilityEngine flat(ab_facility(8, 2, 16, 300.0, false), team);
-    const double two_s = measure_seconds(two);
-    const double flat_s = measure_seconds(flat);
-    const double speedup = flat_s / two_s;
-    std::printf("flat      : %8.1f ms\ntwo-level : %8.1f ms  -> %.3fx\n",
-                flat_s * 1e3, two_s * 1e3, speedup);
-    const double target = std::max(1.01, 1.0 + 0.08 * (ways - 1.0) / 7.0);
-    char label[64];
-    std::snprintf(label, sizeof(label),
-                  "flat executor, target derated to %.0f ways = %.3fx", ways,
-                  target);
-    ok &= fsc_bench::check_beats("two-level-8rooms", "speedup_vs_flat", label,
-                                 target, speedup, /*lower_is_better=*/false);
-  }
 
   // ---- the 100k-server day ---------------------------------------------
   constexpr std::size_t kRooms = 8, kRacks = 25, kSlots = 500;

@@ -1,7 +1,6 @@
 // Thread scaling of the lockstep engines under the chunked executor path
 // (PR 5's tentpole): simulated-server throughput for a 64-server rack and
-// an 8-rack room as a function of thread count, plus an executor-vs-
-// ThreadPool A/B at the same shard granularity.
+// an 8-rack room as a function of thread count.
 //
 // Before chunking, the shard unit was a whole rack, so a single 64-server
 // rack could not use a second thread at all (8 threads once ran
@@ -41,17 +40,15 @@ namespace {
 using namespace fsc;
 
 /// The contended rack scenario at bench horizon; chunk 0 = auto (8 lanes).
-CoupledRackParams bench_rack(std::size_t servers, bool executor) {
+CoupledRackParams bench_rack(std::size_t servers) {
   CoupledRackParams p = default_coupled_scenario(42, 300.0);
   p.rack.num_servers = servers;
-  p.executor = executor;
   return p;
 }
 
-RoomParams bench_room(std::size_t racks, bool executor) {
+RoomParams bench_room(std::size_t racks) {
   RoomParams p = default_room_scenario(racks, 42, 300.0);
   p.scheduler = "thermal-headroom";
-  p.executor = executor;
   return p;
 }
 
@@ -71,27 +68,20 @@ bool skip_multithread_row(benchmark::State& state, std::size_t threads) {
 void BM_RackLockstep(benchmark::State& state) {
   const auto servers = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));
-  const bool executor = state.range(2) != 0;
   if (skip_multithread_row(state, threads)) return;
-  const CoupledRackEngine engine(bench_rack(servers, executor), threads);
+  const CoupledRackEngine engine(bench_rack(servers), threads);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(servers));
   state.counters["threads"] = static_cast<double>(threads);
-  state.counters["executor"] = executor ? 1.0 : 0.0;
 }
 
-// Executor rows chart the scaling curve; the two pool rows at the same
-// chunk granularity isolate the executor's own contribution from the
-// chunking's.
 BENCHMARK(BM_RackLockstep)
-    ->Args({64, 1, 1})
-    ->Args({64, 2, 1})
-    ->Args({64, 8, 1})
-    ->Args({64, 1, 0})
-    ->Args({64, 8, 0})
+    ->Args({64, 1})
+    ->Args({64, 2})
+    ->Args({64, 8})
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.5)
     ->MeasureProcessCPUTime()
@@ -101,7 +91,7 @@ void BM_RoomLockstepChunked(benchmark::State& state) {
   const auto racks = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));
   if (skip_multithread_row(state, threads)) return;
-  const RoomEngine engine(bench_room(racks, true), threads);
+  const RoomEngine engine(bench_room(racks), threads);
   std::size_t servers = 0;
   for (auto _ : state) {
     const RoomResult r = engine.run();
@@ -161,12 +151,12 @@ bool print_scaling_verdict() {
   // together, so the gate always tests the claim it states.
   const std::size_t team = static_cast<std::size_t>(ways);
   const double rack_1t =
-      measure_seconds(CoupledRackEngine(bench_rack(64, true), 1));
+      measure_seconds(CoupledRackEngine(bench_rack(64), 1));
   const double rack_nt =
-      measure_seconds(CoupledRackEngine(bench_rack(64, true), team));
-  const double room_1t = measure_seconds(RoomEngine(bench_room(8, true), 1));
+      measure_seconds(CoupledRackEngine(bench_rack(64), team));
+  const double room_1t = measure_seconds(RoomEngine(bench_room(8), 1));
   const double room_nt =
-      measure_seconds(RoomEngine(bench_room(8, true), team));
+      measure_seconds(RoomEngine(bench_room(8), team));
 
   const double rack_speedup = rack_1t / rack_nt;
   const double room_speedup = room_1t / room_nt;

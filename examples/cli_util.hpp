@@ -1,16 +1,21 @@
-// Small flag-parsing helpers shared by the CLI front ends (fsc_rack,
-// fsc_room) so fixes to the parsing land in one place.  Both CLIs parse
-// their flags into ONE fsc::ScenarioSpec (consume_scenario_flag covers the
-// shared vocabulary, the per-CLI loops only the scale-specific spellings)
-// and build engines exclusively through spec.build_rack()/build_room() —
-// hand-assembly of engine params does not belong in examples/.
+// Flag-parsing helpers for the command-line front ends.  The fsc driver
+// parses every scenario flag into ONE fsc::ScenarioSpec through
+// consume_scenario_flag and builds engines exclusively through
+// spec.build_rack()/build_room()/build_facility() — hand-assembly of
+// engine params does not belong in examples/.
+//
+// Numbers are parsed whole: "60s", "12kW" or "abc" is an error naming the
+// flag, never a silently truncated value.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstddef>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "batch/simd/dispatch.hpp"
@@ -23,77 +28,72 @@
 
 namespace fsc_cli {
 
-/// Parse a strictly positive integer flag value; returns 0 on anything
-/// else (including negatives, which would otherwise wrap through the
-/// size_t cast into absurd allocation sizes).
-inline std::size_t parse_positive(const char* text) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || v <= 0) return 0;
-  return static_cast<std::size_t>(v);
-}
-
-/// Parse a non-negative integer flag value ("--chunk N", where 0 means
-/// "auto") into `out`.  Returns false on anything else — including bare
-/// negatives, which would otherwise wrap through the size_t cast — so the
-/// caller can fall through to usage().
-inline bool parse_nonnegative(const char* text, std::size_t& out) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || v < 0) return false;
-  out = static_cast<std::size_t>(v);
+/// Parse all of `text` (null = missing value) as a finite decimal number
+/// into `out`; false on an empty value, trailing characters, or overflow.
+inline bool parse_double(const char* text, double& out) {
+  if (text == nullptr) return false;
+  const char* const last = text + std::strlen(text);
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(text, last, v);
+  if (ec != std::errc() || end != last || end == text || !std::isfinite(v)) {
+    return false;
+  }
+  out = v;
   return true;
 }
 
-/// Parse an on/off flag value ("--batched on|off") into `out`.  Returns
-/// false on anything else so the caller can fall through to usage().
-inline bool parse_on_off(const char* text, bool& out) {
-  if (std::strcmp(text, "on") == 0) {
-    out = true;
-    return true;
-  }
-  if (std::strcmp(text, "off") == 0) {
-    out = false;
-    return true;
-  }
-  return false;
+/// Parse all of `text` (null = missing value) as an unsigned decimal
+/// integer into `out`; false on a sign, trailing characters, or overflow.
+template <typename Int>
+bool parse_unsigned(const char* text, Int& out) {
+  if (text == nullptr) return false;
+  const char* const last = text + std::strlen(text);
+  Int v = 0;
+  const auto [end, ec] = std::from_chars(text, last, v);
+  if (ec != std::errc() || end != last || end == text) return false;
+  out = v;
+  return true;
 }
 
-/// Parse a SIMD mode flag value ("--simd on|off|auto") into `out`.
-/// Returns false on anything else so the caller can fall through to
-/// usage().  Width selection within "on"/"auto" belongs to FSC_SIMD.
+/// Parse a strictly positive integer flag value into `out`.
+inline bool parse_positive(const char* text, std::size_t& out) {
+  std::size_t v = 0;
+  if (!parse_unsigned(text, v) || v == 0) return false;
+  out = v;
+  return true;
+}
+
+/// Parse a SIMD mode flag value ("--simd on|off|auto") into `out`.  Width
+/// selection within "on"/"auto" belongs to FSC_SIMD.
 inline bool parse_simd_mode(const char* text, fsc::simd::SimdMode& out) {
-  if (std::strcmp(text, "on") == 0) {
-    out = fsc::simd::SimdMode::kOn;
+  if (text == nullptr) return false;
+  try {
+    out = fsc::simd_mode_from_string(text);
     return true;
+  } catch (const std::invalid_argument&) {
+    return false;
   }
-  if (std::strcmp(text, "off") == 0) {
-    out = fsc::simd::SimdMode::kOff;
-    return true;
-  }
-  if (std::strcmp(text, "auto") == 0) {
-    out = fsc::simd::SimdMode::kAuto;
-    return true;
-  }
-  return false;
 }
 
-/// Outcome of offering one argv slot to the shared scenario-flag parser.
+/// Outcome of offering one argv slot to the scenario-flag parser.
 enum class ScenarioFlag {
-  kNotMine,   ///< not a shared scenario flag; the caller's loop handles it
+  kNotMine,   ///< not a scenario flag; the caller's loop handles it
   kConsumed,  ///< handled (the parser advanced `i` past any value)
-  kError,     ///< recognized but the value was malformed: go to usage()
+  kError,     ///< recognized but the value was missing or malformed
 };
 
-/// Try to consume argv[i] as one of the scenario flags BOTH CLIs share:
+/// Try to consume argv[i] as a scenario flag.  Each flag sets exactly one
+/// ScenarioSpec field:
 ///
 ///   --scenario FILE   load a ScenarioSpec JSON file (sim/scenario.hpp);
 ///                     flags AFTER it override the file's values
-///   --dtm POLICY --traces DIR --trace-pack FILE --slots N --threads N
-///   --seed S --duration SECS --zone K --batched on|off --chunk N
-///   --executor on|off --gather on|off --simd on|off|auto --no-plenum
-///   --rooms N --plant-watts W --supply-amplitude C --facility-period S
-///   --two-level on|off   (facility-scale; ignored by build_rack/build_room)
+///   --rooms N --racks N --slots N --seed S --duration SECS
+///   --dtm POLICY --coordinator COORD --scheduler SCHED
+///   --rack-budget W --room-budget W --step FRAC --zone K
+///   --no-plenum --no-cross-plenum
+///   --threads N --chunk N --simd on|off|auto
+///   --traces DIR --trace-pack FILE
+///   --plant-watts W --supply-amplitude C --facility-period S
 ///
 /// On kError a note naming the flag is printed to stderr.  Scenario-file
 /// load failures (missing file, bad JSON, unknown key) also print the
@@ -105,123 +105,102 @@ inline ScenarioFlag consume_scenario_flag(fsc::ScenarioSpec& spec, int argc,
     spec.plenum = false;
     return ScenarioFlag::kConsumed;
   }
-  const bool has_value = i + 1 < argc;
-  const auto bad = [&arg](const char* why) {
-    std::cerr << arg << ": " << why << "\n";
-    return ScenarioFlag::kError;
+  if (arg == "--no-cross-plenum") {
+    spec.cross_plenum = false;
+    return ScenarioFlag::kConsumed;
+  }
+  const char* const value = i + 1 < argc ? argv[i + 1] : nullptr;
+  // Every remaining flag takes one value: `ok` says whether it parsed.
+  const auto take = [&](bool ok, const char* expected) {
+    if (!ok) {
+      std::cerr << arg << ": expected " << expected;
+      if (value != nullptr) std::cerr << ", got '" << value << "'";
+      std::cerr << "\n";
+      return ScenarioFlag::kError;
+    }
+    ++i;
+    return ScenarioFlag::kConsumed;
   };
+  const auto text = [value](std::string& out) {
+    if (value == nullptr) return false;
+    out = value;
+    return true;
+  };
+
   if (arg == "--scenario") {
-    if (!has_value) return bad("expected a file path");
+    if (value == nullptr) return take(false, "a file path");
     try {
-      spec = fsc::ScenarioSpec::from_json_file(argv[++i]);
+      spec = fsc::ScenarioSpec::from_json_file(value);
     } catch (const std::exception& e) {
       std::cerr << e.what() << "\n";
       return ScenarioFlag::kError;
     }
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--dtm") {
-    if (!has_value) return bad("expected a policy name");
-    spec.dtm = argv[++i];
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--traces") {
-    if (!has_value) return bad("expected a directory");
-    spec.trace_dir = argv[++i];
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--trace-pack") {
-    if (!has_value) return bad("expected a .fst pack file");
-    spec.trace_pack = argv[++i];
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--slots") {
-    if (!has_value || (spec.slots = parse_positive(argv[++i])) == 0) {
-      return bad("expected a positive integer");
-    }
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--threads") {
-    if (!has_value || (spec.threads = parse_positive(argv[++i])) == 0) {
-      return bad("expected a positive integer");
-    }
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--seed") {
-    if (!has_value) return bad("expected an integer seed");
-    spec.seed =
-        static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--duration") {
-    if (!has_value || (spec.duration_s = std::atof(argv[++i])) <= 0.0) {
-      return bad("expected a positive duration in seconds");
-    }
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--zone") {
-    if (!has_value || (spec.fan_zone = parse_positive(argv[++i])) == 0) {
-      return bad("expected a positive integer");
-    }
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--batched") {
-    if (!has_value || !parse_on_off(argv[++i], spec.batched)) {
-      return bad("expected on|off");
-    }
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--chunk") {
-    if (!has_value || !parse_nonnegative(argv[++i], spec.chunk)) {
-      return bad("expected a non-negative integer");
-    }
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--executor") {
-    if (!has_value || !parse_on_off(argv[++i], spec.executor)) {
-      return bad("expected on|off");
-    }
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--gather") {
-    if (!has_value || !parse_on_off(argv[++i], spec.gather)) {
-      return bad("expected on|off");
-    }
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--simd") {
-    if (!has_value || !parse_simd_mode(argv[++i], spec.simd)) {
-      return bad("expected on|off|auto");
-    }
+    ++i;
     return ScenarioFlag::kConsumed;
   }
   if (arg == "--rooms") {
-    if (!has_value || (spec.rooms = parse_positive(argv[++i])) == 0) {
-      return bad("expected a positive integer");
-    }
-    return ScenarioFlag::kConsumed;
+    return take(parse_positive(value, spec.rooms), "a positive integer");
+  }
+  if (arg == "--racks") {
+    return take(parse_positive(value, spec.racks), "a positive integer");
+  }
+  if (arg == "--slots") {
+    return take(parse_positive(value, spec.slots), "a positive integer");
+  }
+  if (arg == "--seed") {
+    return take(parse_unsigned(value, spec.seed), "a non-negative integer");
+  }
+  if (arg == "--duration") {
+    return take(parse_double(value, spec.duration_s) && spec.duration_s > 0.0,
+                "a positive duration in seconds");
+  }
+  if (arg == "--dtm") return take(text(spec.dtm), "a policy name");
+  if (arg == "--coordinator") {
+    return take(text(spec.coordinator), "a coordinator name");
+  }
+  if (arg == "--scheduler") {
+    return take(text(spec.scheduler), "a room scheduler name");
+  }
+  if (arg == "--rack-budget") {
+    return take(parse_double(value, spec.rack_budget_watts),
+                "a budget in watts (< 0 = scenario default)");
+  }
+  if (arg == "--room-budget") {
+    return take(parse_double(value, spec.room_budget_watts),
+                "a budget in watts (< 0 = scenario default)");
+  }
+  if (arg == "--step") {
+    return take(parse_double(value, spec.migration_step),
+                "a migration fraction in (0, 1)");
+  }
+  if (arg == "--zone") {
+    return take(parse_positive(value, spec.fan_zone), "a positive integer");
+  }
+  if (arg == "--threads") {
+    return take(parse_positive(value, spec.threads), "a positive integer");
+  }
+  if (arg == "--chunk") {
+    return take(parse_unsigned(value, spec.chunk), "a non-negative integer");
+  }
+  if (arg == "--simd") {
+    return take(parse_simd_mode(value, spec.simd), "on|off|auto");
+  }
+  if (arg == "--traces") return take(text(spec.trace_dir), "a directory");
+  if (arg == "--trace-pack") {
+    return take(text(spec.trace_pack), "a .fst pack file");
   }
   if (arg == "--plant-watts") {
-    if (!has_value) return bad("expected a capacity in watts (< 0 = infinite)");
-    spec.plant_capacity_watts = std::atof(argv[++i]);
-    return ScenarioFlag::kConsumed;
+    return take(parse_double(value, spec.plant_capacity_watts),
+                "a capacity in watts (< 0 = unconstrained)");
   }
   if (arg == "--supply-amplitude") {
-    if (!has_value || (spec.supply_amplitude_c = std::atof(argv[++i])) < 0.0) {
-      return bad("expected a non-negative offset in celsius");
-    }
-    return ScenarioFlag::kConsumed;
+    return take(parse_double(value, spec.supply_amplitude_c) &&
+                    spec.supply_amplitude_c >= 0.0,
+                "a non-negative offset in celsius");
   }
   if (arg == "--facility-period") {
-    if (!has_value) return bad("expected a period in seconds (<= 0 = every round)");
-    spec.facility_period_s = std::atof(argv[++i]);
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--two-level") {
-    if (!has_value || !parse_on_off(argv[++i], spec.two_level)) {
-      return bad("expected on|off");
-    }
-    return ScenarioFlag::kConsumed;
+    return take(parse_double(value, spec.facility_period_s),
+                "a period in seconds (<= 0 = every round)");
   }
   return ScenarioFlag::kNotMine;
 }
@@ -245,8 +224,7 @@ inline void print_policy_listing(std::ostream& os) {
   }
 }
 
-/// Observability flag state + sink ownership shared by fsc_rack/fsc_room:
-/// the flag loop fills the public fields (--trace-out, --metrics-out,
+/// Observability flag state + sink ownership: the flag loop fills the public fields (--trace-out, --metrics-out,
 /// --metrics-every, --progress), open() builds the sinks once the run
 /// shape is known, telemetry() is dropped into params.obs, and finish()
 /// (after the run) writes the trace file and reports where things went.

@@ -89,21 +89,24 @@ int main(int argc, char** argv) {
         if (!need_value(i)) return usage();
         out_dir = argv[++i];
       } else if (arg == "--bucket") {
-        if (!need_value(i) || (bucket_s = std::atof(argv[++i])) <= 0.0) {
+        if (!need_value(i) || !fsc_cli::parse_double(argv[++i], bucket_s) ||
+            bucket_s <= 0.0) {
           return usage();
         }
       } else if (arg == "--variants") {
         if (!need_value(i) ||
-            !fsc_cli::parse_nonnegative(argv[++i], variants)) {
+            !fsc_cli::parse_unsigned(argv[++i], variants)) {
           return usage();
         }
       } else if (arg == "--variant-seed") {
-        if (!need_value(i)) return usage();
-        variant_seed =
-            static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
+        if (!need_value(i) ||
+            !fsc_cli::parse_unsigned(argv[++i], variant_seed)) {
+          return usage();
+        }
       } else if (arg == "--variant-duration") {
         if (!need_value(i) ||
-            (variant_duration_s = std::atof(argv[++i])) <= 0.0) {
+            !fsc_cli::parse_double(argv[++i], variant_duration_s) ||
+            variant_duration_s <= 0.0) {
           return usage();
         }
       } else if (arg == "--csv-dir") {

@@ -11,7 +11,7 @@
 //
 // Concrete coordinators register themselves by string name in the
 // PolicyFactory (core/policy_factory.hpp) so drivers select them exactly
-// like DtmPolicies: `fsc_rack --policy shared-fan-zone`.
+// like DtmPolicies: `fsc --coordinator shared-fan-zone`.
 #pragma once
 
 #include <cstddef>

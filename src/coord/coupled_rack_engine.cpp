@@ -1,7 +1,6 @@
 #include "coord/coupled_rack_engine.hpp"
 
 #include <algorithm>
-#include <future>
 #include <iomanip>
 #include <memory>
 #include <optional>
@@ -17,7 +16,6 @@
 #include "sim/instrumentation.hpp"
 #include "util/lockstep_executor.hpp"
 #include "workload/workload_table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/lane_vector.hpp"
 #include "util/units.hpp"
 
@@ -27,11 +25,12 @@ namespace {
 
 /// Everything one slot needs to advance between barriers, at a stable
 /// address (the Server keeps a pointer to the Rng, the Session keeps
-/// references to everything).  Construction order mirrors
-/// BatchRunner::run_server exactly so an uncoupled run is bit-identical.
-/// Cache-line aligned: the Server, Rng and sinks are written every period
-/// by whichever thread steps the slot's chunk, and must not share a line
-/// with the neighbouring slot of another chunk.
+/// references to everything).  Construction order mirrors run_simulation
+/// exactly so an uncoupled run is bit-identical to per-slot runs.
+/// Cache-line aligned: the Server, Rng, sinks and Session are written every
+/// period by whichever thread steps the slot's chunk, and must not share a
+/// line with the neighbouring slot of another chunk — which is why the
+/// Session lives here rather than in its own heap block.
 struct alignas(kCacheLineBytes) SlotRuntime {
   Rng rng;
   std::shared_ptr<const Workload> workload;
@@ -41,7 +40,7 @@ struct alignas(kCacheLineBytes) SlotRuntime {
   DeadlineStatsSink deadline;
   ThermalViolationSink thermal;
   EnergyAccumulatorSink energy;
-  std::unique_ptr<SimulationEngine::Session> session;
+  std::optional<SimulationEngine::Session> session;
 
   double base_inlet_celsius = 0.0;
   RunningStats inlet_stats;
@@ -58,8 +57,7 @@ struct alignas(kCacheLineBytes) SlotRuntime {
     engine.add_sink(&deadline);
     engine.add_sink(&thermal);
     engine.add_sink(&energy);
-    session = std::make_unique<SimulationEngine::Session>(engine, server,
-                                                          *policy, *workload);
+    session.emplace(engine, server, *policy, *workload);
     base_inlet_celsius = server.inlet_temperature();
   }
 };
@@ -83,22 +81,19 @@ CoupledRackEngine::CoupledRackEngine(CoupledRackParams params,
 
 struct CoupledRackEngine::Session::Impl {
   CoupledRackParams params;
-  ThreadPool* pool = nullptr;  ///< null for executor-driven sessions
   Rack rack;
   std::unique_ptr<RackCoordinator> coordinator;
   long periods_per_round = 0;
   std::vector<std::unique_ptr<SlotRuntime>> slots;
-  /// Chunked SoA stepping (null when params.batched is off).
-  std::unique_ptr<RackBatchStepper> stepper;
-  /// Batched demand gather (null when params.gather is off, the rack is
-  /// unbatched, or some lane's workload is not pre-sampled).  Owned here
-  /// at a stable address; the stepper borrows it.
+  /// Chunked SoA stepping of every slot.
+  RackBatchStepper stepper;
+  /// Batched demand gather (null when some lane's workload is not
+  /// pre-sampled).  Owned here at a stable address; the stepper borrows it.
   std::unique_ptr<WorkloadTable> workload_table;
   /// Fault driver (null when params.faults is empty — the common case, in
   /// which no fault code runs anywhere near the hot path).
   std::unique_ptr<FaultInjector> injector;
   std::optional<SharedPlenumModel> plenum;
-  std::vector<std::future<void>> futures;
   std::vector<SlotObservation> observations;
   // Reusable per-round scratch (hoisted so the steady-state round loop
   // allocates nothing).
@@ -118,8 +113,7 @@ struct CoupledRackEngine::Session::Impl {
   std::uint32_t rack_label = 0;
 #endif
 
-  Impl(const CoupledRackParams& p, ThreadPool* worker_pool)
-      : params(p), pool(worker_pool), rack(p.rack) {
+  explicit Impl(const CoupledRackParams& p) : params(p), rack(p.rack) {
     const SimulationParams& sim = params.rack.sim;
     const SolutionConfig& solution = params.rack.solution;
 
@@ -142,39 +136,34 @@ struct CoupledRackEngine::Session::Impl {
           std::make_unique<SlotRuntime>(spec, params.rack.policy, sim));
     }
 
-    if (params.batched) {
-      stepper = std::make_unique<RackBatchStepper>();
-      stepper->set_chunk_lanes(params.chunk);
-      for (const auto& rt : slots) stepper->add_slot(*rt->session, rt->server);
-      stepper->set_simd(simd::resolve_mode(params.simd));
-      if (params.gather) {
-        // Batched demand path: table every lane once, up front.  A single
-        // non-tableable workload drops the whole table — the classic
-        // per-lane path is always correct, the table only faster.
-        auto table = std::make_unique<WorkloadTable>();
-        bool all_tabled = true;
-        for (const auto& rt : slots) {
-          if (!table->add_lane(*rt->workload)) {
-            all_tabled = false;
-            break;
-          }
-        }
-        if (all_tabled) {
-          workload_table = std::move(table);
-          stepper->set_workload_table(workload_table.get());
-        }
+    stepper.set_chunk_lanes(params.chunk);
+    for (const auto& rt : slots) stepper.add_slot(*rt->session, rt->server);
+    stepper.set_simd(simd::resolve_mode(params.simd));
+    // Table every lane once, up front.  A single non-tableable workload
+    // drops the whole table — the per-lane path is always correct, the
+    // table only faster.
+    auto table = std::make_unique<WorkloadTable>();
+    bool all_tabled = true;
+    for (const auto& rt : slots) {
+      if (!table->add_lane(*rt->workload)) {
+        all_tabled = false;
+        break;
       }
-      // Freeze the dt memos now, single-threaded: chunks of this batch may
-      // later step concurrently and must never refresh shared state.
-      stepper->prepare();
     }
+    if (all_tabled) {
+      workload_table = std::move(table);
+      stepper.set_workload_table(workload_table.get());
+    }
+    // Freeze the dt memos now, single-threaded: chunks of this batch may
+    // later step concurrently and must never refresh shared state.
+    stepper.prepare();
 
     if (!params.faults.empty()) {
       std::vector<Server*> servers;
       servers.reserve(slots.size());
       for (const auto& rt : slots) servers.push_back(&rt->server);
       injector = std::make_unique<FaultInjector>(
-          params.faults, std::move(servers), stepper.get(), params.obs);
+          params.faults, std::move(servers), &stepper, params.obs);
       // Arm anything scheduled at t = 0 before the first period steps, so a
       // from-the-start fault shapes the whole run.
       injector->advance(0.0);
@@ -194,30 +183,20 @@ struct CoupledRackEngine::Session::Impl {
       rounds_counter = &params.obs.metrics->counter("rack.rounds");
       fan_override_counter =
           &params.obs.metrics->counter("rack.fan_override_rounds");
-      if (stepper) {
-        // Salt the slot attribution by rack so a room's racks spread over
-        // the shared counters' slots deterministically.
-        stepper->batch().attach_memo_counters(
-            *params.obs.metrics,
-            static_cast<std::size_t>(rack_label) * rack.size());
-      }
+      // Salt the slot attribution by rack so a room's racks spread over
+      // the shared counters' slots deterministically.
+      stepper.batch().attach_memo_counters(
+          *params.obs.metrics, static_cast<std::size_t>(rack_label) * rack.size());
     }
 #endif
   }
 };
 
-CoupledRackEngine::Session::Session(const CoupledRackParams& params,
-                                    ThreadPool& pool) {
+CoupledRackEngine::Session::Session(const CoupledRackParams& params) {
   // Validate coordination timing up front, exactly like the engine ctor.
   (void)derive_fan_divider(params.rack.sim.cpu_period_s,
                            params.coord.coordination_period_s);
-  impl_ = std::make_unique<Impl>(params, &pool);
-}
-
-CoupledRackEngine::Session::Session(const CoupledRackParams& params) {
-  (void)derive_fan_divider(params.rack.sim.cpu_period_s,
-                           params.coord.coordination_period_s);
-  impl_ = std::make_unique<Impl>(params, nullptr);
+  impl_ = std::make_unique<Impl>(params);
 }
 
 CoupledRackEngine::Session::~Session() = default;
@@ -239,8 +218,7 @@ std::size_t CoupledRackEngine::Session::num_slots() const noexcept {
 }
 
 std::size_t CoupledRackEngine::Session::num_shards() const noexcept {
-  const Impl& im = *impl_;
-  return im.stepper ? im.stepper->num_chunks() : im.slots.size();
+  return impl_->stepper.num_chunks();
 }
 
 void CoupledRackEngine::Session::run_shard(std::size_t shard) {
@@ -250,43 +228,9 @@ void CoupledRackEngine::Session::run_shard(std::size_t shard) {
                              static_cast<std::uint32_t>(shard),
                              static_cast<std::int64_t>(im.rounds));
 #endif
-  const long periods_per_round = im.periods_per_round;
-  if (im.stepper) {
-    // Batched granularity: the shard is one contiguous lane chunk of the
-    // rack's SoA batch — chunks parallelise across threads, lanes
-    // vectorize within the chunk.
-    im.stepper->advance_chunk_periods(shard, periods_per_round);
-    return;
-  }
-  // Scalar granularity: the shard is one slot (the pre-batch path, kept
-  // for A/B comparison and as the bit-identity reference).
-  SlotRuntime& rt = *im.slots[shard];
-  for (long i = 0; i < periods_per_round && !rt.session->done(); ++i) {
-    rt.session->step_period();
-  }
-}
-
-void CoupledRackEngine::Session::begin_round() {
-  Impl& im = *impl_;
-  require(im.pool != nullptr,
-          "CoupledRackEngine::Session: begin_round needs a pool-constructed "
-          "session (executor-driven sessions use the shard surface)");
-  if (done()) return;
-  // Every shard advances one coordination period — slots only interact at
-  // the barrier in complete_round(), so task order is free.
-  im.futures.clear();
-  const std::size_t shards = num_shards();
-  im.futures.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    im.futures.push_back(im.pool->submit([this, s] { run_shard(s); }));
-  }
-}
-
-void CoupledRackEngine::Session::complete_round() {
-  Impl& im = *impl_;
-  for (auto& f : im.futures) f.get();  // barrier; rethrows worker exceptions
-  im.futures.clear();
-  coordinate_round();
+  // The shard is one contiguous lane chunk of the rack's SoA batch —
+  // chunks parallelise across threads, lanes vectorize within the chunk.
+  im.stepper.advance_chunk_periods(shard, im.periods_per_round);
 }
 
 void CoupledRackEngine::Session::coordinate_round() {
@@ -482,21 +426,11 @@ CoupledRackResult CoupledRackEngine::Session::finish() {
 }
 
 CoupledRackResult CoupledRackEngine::run() const {
-  // Both execution strategies share one telemetry-aware round loop; the
-  // strategy only decides how a round's shards get to the workers.
-  std::optional<LockstepExecutor> executor;
-  std::optional<ThreadPool> pool;
-  std::optional<Session> session;
-  if (params_.executor) {
-    // Persistent-worker path: pre-assigned chunk shards behind one epoch
-    // barrier per round — no per-round task submission at all.
-    executor.emplace(threads_);
-    session.emplace(params_);
-  } else {
-    pool.emplace(threads_);
-    session.emplace(params_, *pool);
-  }
-  const std::size_t shards = session->num_shards();
+  // Persistent workers: pre-assigned chunk shards behind one epoch barrier
+  // per round — no per-round task submission at all.
+  LockstepExecutor executor(threads_);
+  Session session(params_);
+  const std::size_t shards = session.num_shards();
 
 #if FSC_OBS_ENABLED
   const obs::Telemetry& tel = params_.obs;
@@ -506,21 +440,16 @@ CoupledRackResult CoupledRackEngine::run() const {
   std::uint64_t window_violations_seen = 0;
 #endif
 
-  while (!session->done()) {
+  while (!session.done()) {
 #if FSC_OBS_ENABLED
     const std::int64_t round_t0 =
         (tel.trace != nullptr || round_hist != nullptr) ? obs::monotonic_ns()
                                                         : 0;
-    const std::size_t round_idx = session->rounds();
+    const std::size_t round_idx = session.rounds();
 #endif
-    if (executor) {
-      executor->run(shards, [&session](std::size_t shard) {
-        session->run_shard(shard);
-      });
-      session->coordinate_round();
-    } else {
-      session->advance_round();
-    }
+    executor.run(shards,
+                 [&session](std::size_t shard) { session.run_shard(shard); });
+    session.coordinate_round();
 #if FSC_OBS_ENABLED
     std::uint64_t round_ns = 0;
     if (round_t0 != 0) {
@@ -532,31 +461,31 @@ CoupledRackResult CoupledRackEngine::run() const {
       }
       if (round_hist != nullptr) round_hist->observe(round_ns);
     }
-    const std::size_t rounds_done = session->rounds();
+    const std::size_t rounds_done = session.rounds();
     if (tel.snapshot != nullptr && tel.snapshot->due(rounds_done) &&
-        !session->last_observations().empty()) {
+        !session.last_observations().empty()) {
       obs::SnapshotExporter::Row row;
       row.round = rounds_done;
-      row.time_s = session->time_s();
+      row.time_s = session.time_s();
       row.rack = static_cast<int>(tel.rack);
-      row.demand_scale = session->demand_scale();
-      for (const SlotObservation& o : session->last_observations()) {
+      row.demand_scale = session.demand_scale();
+      for (const SlotObservation& o : session.last_observations()) {
         row.cpu_watts += o.cpu_watts;
         row.mean_inlet_c += o.inlet_celsius;
         row.max_inlet_c = std::max(row.max_inlet_c, o.inlet_celsius);
         row.mean_fan_rpm += o.fan_actual_rpm;
       }
       const double n =
-          static_cast<double>(session->last_observations().size());
+          static_cast<double>(session.last_observations().size());
       row.mean_inlet_c /= n;
       row.mean_fan_rpm /= n;
       const std::uint64_t pooled = static_cast<std::uint64_t>(
-          session->pooled_deadline_violations_so_far());
+          session.pooled_deadline_violations_so_far());
       row.window_violations = pooled - window_violations_seen;
       window_violations_seen = pooled;
       row.total_violations = pooled;
-      row.fan_energy_j = session->fan_energy_joules_so_far();
-      row.cpu_energy_j = session->cpu_energy_joules_so_far();
+      row.fan_energy_j = session.fan_energy_joules_so_far();
+      row.cpu_energy_j = session.cpu_energy_joules_so_far();
       if (tel.metrics != nullptr) {
         const auto snap = tel.metrics->snapshot();
         const std::uint64_t hits = snap.counter("batch.memo_hit") +
@@ -572,22 +501,22 @@ CoupledRackResult CoupledRackEngine::run() const {
     }
     if (tel.progress != nullptr) {
       tel.progress->tick(
-          rounds_done, session->time_s(),
+          rounds_done, session.time_s(),
           static_cast<std::uint64_t>(
-              session->pooled_deadline_violations_so_far()));
+              session.pooled_deadline_violations_so_far()));
     }
 #endif
   }
 #if FSC_OBS_ENABLED
   if (tel.progress != nullptr) {
     tel.progress->finish(
-        session->rounds(), params_.rack.sim.duration_s,
+        session.rounds(), params_.rack.sim.duration_s,
         static_cast<std::uint64_t>(
-            session->pooled_deadline_violations_so_far()));
+            session.pooled_deadline_violations_so_far()));
   }
   if (tel.snapshot != nullptr) tel.snapshot->close();
 #endif
-  return session->finish();
+  return session.finish();
 }
 
 std::string CoupledRackResult::to_table() const {

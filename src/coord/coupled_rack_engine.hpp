@@ -1,7 +1,6 @@
 // Lockstep rack simulation: N servers advanced as ONE coupled plant.
 //
-// The BatchRunner (rack/batch_runner.hpp) fans N *independent* runs across
-// a thread pool — correct for embarrassingly parallel sweeps, but unable to
+// Independent per-server runs (sim/simulation.hpp run_simulation) cannot
 // express any physics or control that crosses a chassis boundary.  The
 // CoupledRackEngine closes both loops:
 //
@@ -13,14 +12,15 @@
 //     (rack power budgeting) between barriers.
 //
 // Execution model: the run is cut into coordination periods (a whole
-// multiple of the CPU control period).  Within a period every slot steps
-// its own SimulationEngine::Session — fanned out across the ThreadPool,
-// since slots do not interact mid-period — then a deterministic barrier
-// gathers observations in slot order, the coordinator issues directives,
-// and the plenum retargets the inlets.  Nothing depends on thread
-// scheduling, so results are bit-identical for any thread count; with the
-// "independent" coordinator and the plenum disabled they are bit-identical
-// to BatchRunner's (test_coord verifies both properties).
+// multiple of the CPU control period).  Within a period the rack's SoA
+// batch advances chunk by chunk — the chunks spread across a
+// LockstepExecutor, since slots do not interact mid-period — then a
+// deterministic barrier gathers observations in slot order, the
+// coordinator issues directives, and the plenum retargets the inlets.
+// Nothing depends on thread scheduling, so results are bit-identical for
+// any thread count; with the "independent" coordinator and the plenum
+// disabled they are bit-identical to per-slot run_simulation calls
+// (test_coord verifies both properties).
 #pragma once
 
 #include <cstddef>
@@ -34,13 +34,10 @@
 #include "fault/fault_plan.hpp"
 #include "metrics/energy_report.hpp"
 #include "obs/obs.hpp"
-#include "rack/batch_runner.hpp"
 #include "rack/rack.hpp"
 #include "util/statistics.hpp"
 
 namespace fsc {
-
-class ThreadPool;
 
 /// Everything a coupled run needs: the rack (specs, slot policy, timing),
 /// the coordinator selection, and the coupling physics.
@@ -53,36 +50,17 @@ struct CoupledRackParams {
   CoordinatorConfig coord;
   PlenumParams plenum;
   bool plenum_enabled = true;
-  /// Step the rack's plant physics as ONE SoA batch (batch/ layer),
-  /// advancing every slot with the vectorized kernel instead of one task
-  /// per server.  Trajectories are bit-identical either way (test_batch);
-  /// the flag exists so the two paths can be A/B'd (`fsc_rack --batched
-  /// off`).
-  bool batched = true;
   /// Lanes per batch chunk — the shard unit the lockstep drivers
   /// parallelise over, giving *intra*-rack thread scaling.  0 = automatic
   /// (RackBatchStepper::kAutoChunkLanes).  Any chunk size is bit-identical
-  /// to any other (test_batch verifies {1, odd, N}); `fsc_rack --chunk N`
-  /// exists to A/B the granularity.  Ignored when `batched` is off (the
-  /// scalar path shards per slot).
+  /// to any other (test_batch verifies {1, odd, N}).
+  ///
+  /// Demand resolution follows the input: when every slot's workload is
+  /// pre-sampled (SampledWorkload / StoredTraceWorkload) the batch resolves
+  /// per-period demand through one WorkloadTable gather; a rack with any
+  /// other lane keeps the per-lane virtual Workload::demand path.  Both
+  /// compute the same expressions, so the choice never changes a result.
   std::size_t chunk = 0;
-  /// Batched demand resolution: resolve every lane's per-period demand
-  /// through one WorkloadTable indexed-gather loop instead of a virtual
-  /// Workload::demand call per slot (workload/workload_table.hpp).  Only
-  /// takes effect when `batched` is on AND every slot's workload is
-  /// pre-sampled (SampledWorkload / StoredTraceWorkload — all practical
-  /// sources; an exotic lane silently keeps the classic path for the
-  /// whole rack).  The gathered values are computed with the per-lane
-  /// path's exact expressions, so on/off runs are bit-identical
-  /// (test_trace_store EXPECT_EQs across threads x chunks); the flag
-  /// exists to A/B the dispatch cost (`fsc_rack --gather off`).
-  bool gather = true;
-  /// Drive rounds with the persistent LockstepExecutor (pre-assigned chunk
-  /// shards + epoch barrier, util/lockstep_executor.hpp) instead of
-  /// per-round ThreadPool submission.  Bit-identical either way; the
-  /// ThreadPool path is kept selectable (`fsc_rack --executor off`) for
-  /// A/B comparison.
-  bool executor = true;
   /// Explicitly vectorized plant kernel (batch/simd/): kOff — the default —
   /// keeps the scalar-expression reference path (bit-identical to the
   /// per-server model); kOn routes the batched physics through the widest
@@ -90,7 +68,6 @@ struct CoupledRackParams {
   /// it only when the host has a real vector unit.  Trajectories agree with
   /// the reference to the ULP bounds in batch/simd/vmath.hpp (test_simd)
   /// and are bit-stable across chunk/thread choices at a fixed width.
-  /// Ignored when `batched` is off.  `fsc_rack --simd on|off|auto` A/Bs it.
   simd::SimdMode simd = simd::SimdMode::kOff;
   /// Telemetry sinks (obs/obs.hpp), default fully detached.  Read-only
   /// with respect to the simulation: attaching any combination of sinks
@@ -142,7 +119,7 @@ struct CoupledRackResult {
   /// Fixed-width per-slot + aggregate report.
   std::string to_table() const;
   /// Machine-readable report (totals + per-slot rows), schema documented
-  /// in the fsc_rack example.  The overload embeds a "manifest" object
+  /// in the fsc example.  The overload embeds a "manifest" object
   /// (obs::RunManifest::to_json) as the first key when non-empty, so every
   /// report is self-describing.
   std::string to_json() const { return to_json(std::string()); }
@@ -155,29 +132,22 @@ struct CoupledRackResult {
 class CoupledRackEngine {
  public:
   /// Resumable round-by-round stepping of one rack (the rack-scale
-  /// analogue of SimulationEngine::Session).  run() is exactly
-  /// `Session s(params, pool); while (!s.done()) s.advance_round();
-  /// s.finish();` — the Session exists so lockstep multi-rack drivers
-  /// (room/RoomEngine) can advance many racks one coordination round at a
-  /// time over a *shared* ThreadPool and schedule between rounds.
+  /// analogue of SimulationEngine::Session).  One round is every shard's
+  /// run_shard() — on any executor, in any order — then
+  /// coordinate_round(); run() is exactly that loop over a
+  /// LockstepExecutor, then finish().  The Session exists so lockstep
+  /// multi-rack drivers (room/RoomEngine) can pool many racks' shards into
+  /// one executor wave and schedule between rounds.
   ///
-  /// A round is split into begin_round() (fan the slot stepping out into
-  /// the pool) and complete_round() (barrier + rack coordination + plenum
-  /// retargeting, on the calling thread) so a room can launch every rack's
-  /// work before blocking on any barrier.  Between rounds a room scheduler
-  /// may migrate load onto or off this rack (set_demand_scale) and impose
-  /// a room-plenum preheat (set_ambient_offset); both default to exact
-  /// no-ops, in which case the step sequence is bit-identical to a
-  /// standalone run.
+  /// Between rounds a room scheduler may migrate load onto or off this
+  /// rack (set_demand_scale) and impose a room-plenum preheat
+  /// (set_ambient_offset); both default to exact no-ops, in which case the
+  /// step sequence is bit-identical to a standalone run.
   class Session {
    public:
-    /// Builds the slot runtimes, resolves the coordinator by name, and
-    /// settles every slot at its initial operating point.  `pool` is only
-    /// borrowed and must outlive the session's stepping.
-    Session(const CoupledRackParams& params, ThreadPool& pool);
-    /// Pool-free session for executor-driven stepping: the owner advances
-    /// the session through the shard surface (num_shards / run_shard /
-    /// coordinate_round) and begin_round() is invalid.
+    /// Builds the slot runtimes and their batch stepper, resolves the
+    /// coordinator by name, and settles every slot at its initial
+    /// operating point.
     explicit Session(const CoupledRackParams& params);
     ~Session();
     Session(const Session&) = delete;
@@ -189,22 +159,9 @@ class CoupledRackEngine {
     std::size_t rounds() const noexcept;
     std::size_t num_slots() const noexcept;
 
-    /// Submit one coordination period of per-slot stepping to the pool —
-    /// one task per shard (see num_shards()).  No-op once done().  Only
-    /// valid on a pool-constructed session.
-    void begin_round();
-    /// Barrier on the submitted work, then coordinate + retarget inlets
-    /// (deterministic, on the calling thread).  Must follow begin_round().
-    void complete_round();
-    void advance_round() {
-      begin_round();
-      complete_round();
-    }
-
-    /// Shard surface for executor-driven stepping (the unit a
-    /// LockstepExecutor parallelises): batched sessions shard per batch
-    /// chunk (CoupledRackParams::chunk lanes each), scalar sessions per
-    /// slot.  Constant for the session's lifetime.
+    /// Shard surface (the unit a LockstepExecutor parallelises): one shard
+    /// per batch chunk (CoupledRackParams::chunk lanes each).  Constant for
+    /// the session's lifetime.
     std::size_t num_shards() const noexcept;
     /// Advance shard `shard` by one coordination period.  Distinct shards
     /// touch disjoint slots, so a driver may run them concurrently; the
@@ -212,8 +169,7 @@ class CoupledRackEngine {
     /// shard before coordinate_round().
     void run_shard(std::size_t shard);
     /// The deterministic barrier tail of a round (observation gather in
-    /// slot order, coordination directives, plenum retargeting) — exactly
-    /// what complete_round() runs after draining its pool futures.
+    /// slot order, coordination directives, plenum retargeting).
     void coordinate_round();
 
     /// Room-level load migration: every slot's demanded utilization is
@@ -226,7 +182,7 @@ class CoupledRackEngine {
     double ambient_offset() const noexcept;
 
     /// Per-slot observations gathered at the most recent barrier (empty
-    /// before the first complete_round()).
+    /// before the first coordinate_round()).
     const std::vector<SlotObservation>& last_observations() const noexcept;
     /// Pooled deadline violations accumulated so far (for windowed room
     /// accounting).
@@ -264,7 +220,7 @@ class CoupledRackEngine {
 };
 
 /// The canonical 8-slot evaluation scenario shared by bench_coord_overhead,
-/// the fsc_rack CLI defaults, and test_coord: a contended rack (tight
+/// the fsc CLI defaults, and test_coord: a contended rack (tight
 /// airflow, strong plenum recirculation, spiky load) where cross-server
 /// coordination has real work to do.  `seed` varies the jitter/workload
 /// draw, `duration_s` the simulated horizon.

@@ -1,6 +1,6 @@
 // Shared barrier-time observation gathering.  Both lockstep engines used
-// to hand-roll this: CoupledRackEngine snapshotted every slot inline in
-// complete_round(), and RoomEngine re-aggregated those snapshots with a
+// to hand-roll this: CoupledRackEngine snapshotted every slot inline at
+// its barrier, and RoomEngine re-aggregated those snapshots with a
 // second hand-written loop.  The per-slot gather now lives here (and the
 // per-rack aggregation in room/scheduler.hpp's aggregate_rack_observation)
 // so the engines and tests read the plant through one code path.

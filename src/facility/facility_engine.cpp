@@ -10,7 +10,6 @@
 #include "obs/progress.hpp"
 #include "obs/snapshot.hpp"
 #include "util/hierarchical_executor.hpp"
-#include "util/lockstep_executor.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -192,8 +191,8 @@ FacilityResult FacilityEngine::run() const {
   std::vector<RoomCoolingAllocation> allocs;
   std::vector<std::int64_t> group_end_ns;
 
-  // The facility coordination step, shared by both executors: observe
-  // per-room heat load, allocate the plant, apply throttle + supply air.
+  // The facility coordination step: observe per-room heat load, allocate
+  // the plant, apply throttle + supply air.
   // Runs on the calling thread at the barrier — deterministic in room
   // order, like all lockstep barrier work in this codebase.
   const auto coordinate = [&]() -> bool {
@@ -215,119 +214,59 @@ FacilityResult FacilityEngine::run() const {
     return saturated;
   };
 
-  // One room's block of rounds between facility barriers.  `step` runs
-  // the room's shard wave with whatever executor the caller owns.  Both
-  // executors drive this identical sequence, which is the whole
-  // bit-identity argument: rooms never touch shared state between
-  // barriers, so only the order of independent operations differs.
-  const auto room_block = [&](std::size_t g, const auto& step) {
-    RoomEngine::Session& room = *rooms[g];
-    for (std::size_t r = 0; r < barrier_rounds && !room.done(); ++r) {
+  HierarchicalExecutor executor(num_rooms, threads_, params_.pin_topology);
+  group_end_ns.assign(num_rooms, 0);
+  while (!rooms.front()->done()) {
 #if FSC_OBS_ENABLED
-      const std::int64_t t0 = tel.attached ? obs::monotonic_ns() : 0;
-#endif
-      room.mark_round_start();
-      step(room);
-      room.finish_round();
-#if FSC_OBS_ENABLED
-      if (t0 != 0) tel.observe_room_round(g, t0, obs::monotonic_ns());
-#endif
-    }
-  };
-
-  if (params_.two_level) {
-    HierarchicalExecutor executor(num_rooms, threads_, params_.pin_topology);
-    group_end_ns.assign(num_rooms, 0);
-    while (!rooms.front()->done()) {
-#if FSC_OBS_ENABLED
-      const std::int64_t round_t0 = tel.attached ? obs::monotonic_ns() : 0;
+    const std::int64_t round_t0 = tel.attached ? obs::monotonic_ns() : 0;
 #else
-      const std::int64_t round_t0 = 0;
+    const std::int64_t round_t0 = 0;
 #endif
-      executor.run_groups([&](std::size_t g) {
+    // Each group steps its room's block of rounds between facility
+    // barriers.  Rooms never touch shared state between barriers, so the
+    // per-room sequence is exactly a standalone room's.
+    executor.run_groups([&](std::size_t g) {
 #if FSC_OBS_ENABLED
-        const obs::ScopedSpan group_span(tel.trace, "facility.room_rounds",
-                                         "facility",
-                                         static_cast<std::uint32_t>(g), 0,
-                                         static_cast<std::int64_t>(
-                                             facility_rounds));
+      const obs::ScopedSpan group_span(tel.trace, "facility.room_rounds",
+                                       "facility",
+                                       static_cast<std::uint32_t>(g), 0,
+                                       static_cast<std::int64_t>(
+                                           facility_rounds));
 #endif
-        room_block(g, [&executor, g](RoomEngine::Session& room) {
-          executor.run_in_group(g, room.num_shards(), [&room](std::size_t i) {
-            room.run_shard(i);
-          });
-        });
-        if (round_t0 != 0) group_end_ns[g] = obs::monotonic_ns();
-      });
-      if (rooms.front()->done()) break;  // run over: nothing to allocate
-      bool saturated = false;
-      {
+      RoomEngine::Session& room = *rooms[g];
+      for (std::size_t r = 0; r < barrier_rounds && !room.done(); ++r) {
 #if FSC_OBS_ENABLED
-        const obs::ScopedSpan coord_span(
-            tel.trace, "facility.coordinate", "facility", 0, 0,
-            static_cast<std::int64_t>(facility_rounds));
+        const std::int64_t t0 = tel.attached ? obs::monotonic_ns() : 0;
 #endif
-        saturated = coordinate();
+        room.mark_round_start();
+        executor.run_in_group(g, room.num_shards(),
+                              [&room](std::size_t i) { room.run_shard(i); });
+        room.finish_round();
+#if FSC_OBS_ENABLED
+        if (t0 != 0) tel.observe_room_round(g, t0, obs::monotonic_ns());
+#endif
       }
+      if (round_t0 != 0) group_end_ns[g] = obs::monotonic_ns();
+    });
+    if (rooms.front()->done()) break;  // run over: nothing to allocate
+    bool saturated = false;
+    {
 #if FSC_OBS_ENABLED
-      if (tel.attached) {
-        tel.barrier_tail(round_t0, facility_rounds, rooms.front()->time_s(),
-                         saturated, group_end_ns);
-        for (std::size_t g = 0; g < num_rooms; ++g) group_end_ns[g] = 0;
-      }
-#else
-      (void)saturated;
+      const obs::ScopedSpan coord_span(
+          tel.trace, "facility.coordinate", "facility", 0, 0,
+          static_cast<std::int64_t>(facility_rounds));
 #endif
+      saturated = coordinate();
     }
-  } else {
-    // Flat baseline: every room's every chunk behind one global barrier
-    // per room round (the facility-wide shard map mirrors the room-wide
-    // one in RoomEngine).
-    LockstepExecutor executor(threads_);
-    struct FacilityShard {
-      RoomEngine::Session* room = nullptr;
-      std::size_t local = 0;
-    };
-    std::vector<FacilityShard> shards;
-    for (const auto& room : rooms) {
-      for (std::size_t c = 0; c < room->num_shards(); ++c) {
-        shards.push_back(FacilityShard{room.get(), c});
-      }
+#if FSC_OBS_ENABLED
+    if (tel.attached) {
+      tel.barrier_tail(round_t0, facility_rounds, rooms.front()->time_s(),
+                       saturated, group_end_ns);
+      for (std::size_t g = 0; g < num_rooms; ++g) group_end_ns[g] = 0;
     }
-    while (!rooms.front()->done()) {
-#if FSC_OBS_ENABLED
-      const std::int64_t round_t0 = tel.attached ? obs::monotonic_ns() : 0;
 #else
-      const std::int64_t round_t0 = 0;
+    (void)saturated;
 #endif
-      for (std::size_t r = 0;
-           r < barrier_rounds && !rooms.front()->done(); ++r) {
-        for (const auto& room : rooms) room->mark_round_start();
-        executor.run(shards.size(), [&shards](std::size_t i) {
-          shards[i].room->run_shard(shards[i].local);
-        });
-        for (const auto& room : rooms) room->finish_round();
-      }
-      if (rooms.front()->done()) break;
-      bool saturated = false;
-      {
-#if FSC_OBS_ENABLED
-        const obs::ScopedSpan coord_span(
-            tel.trace, "facility.coordinate", "facility", 0, 0,
-            static_cast<std::int64_t>(facility_rounds));
-#endif
-        saturated = coordinate();
-      }
-#if FSC_OBS_ENABLED
-      if (tel.attached) {
-        tel.barrier_tail(round_t0, facility_rounds, rooms.front()->time_s(),
-                         saturated, group_end_ns);  // empty: no groups
-      }
-#else
-      (void)saturated;
-      (void)round_t0;
-#endif
-    }
   }
 
 #if FSC_OBS_ENABLED
@@ -342,7 +281,6 @@ FacilityResult FacilityEngine::run() const {
   out.facility_rounds = facility_rounds;
   out.plant_saturated_rounds = saturated_rounds;
   out.plant_capacity_watts = params_.plant.capacity_watts;
-  out.two_level = params_.two_level;
   out.rooms.reserve(num_rooms);
   std::size_t pooled_periods = 0;
   std::size_t pooled_violations = 0;
@@ -390,8 +328,6 @@ std::string FacilityResult::to_table() const {
        << r.supply_offset_stats.max() << "\n";
   }
   os << "---\n";
-  os << "executor                : "
-     << (two_level ? "two-level" : "flat") << "\n";
   os << "rooms / racks / slots   : " << rooms.size() << " / " << total_racks()
      << " / " << total_slots() << "\n";
   os << "facility rounds         : " << facility_rounds << "\n";
@@ -421,7 +357,9 @@ std::string FacilityResult::to_json(const std::string& manifest_json) const {
   if (!manifest_json.empty()) {
     os << "  \"manifest\": " << manifest_json << ",\n";
   }
-  os << "  \"executor\": \"" << (two_level ? "two-level" : "flat") << "\",\n";
+  // A fixed config echo: the facility has one executor, and reports keep
+  // the key their readers know.
+  os << "  \"executor\": \"two-level\",\n";
   os << "  \"rooms\": " << rooms.size() << ",\n";
   os << "  \"racks\": " << total_racks() << ",\n";
   os << "  \"slots\": " << total_slots() << ",\n";

@@ -5,22 +5,13 @@
 // Rooms only interact through the plant, and only at *facility
 // coordination barriers* (every `facility_period_s` of simulated time, a
 // whole number of room coordination rounds).  Between barriers each room
-// is a fully independent RoomEngine::Session, which is what makes the
-// execution strategy a free choice:
-//
-//   * two-level (default): a HierarchicalExecutor gives each room a
-//     worker group with a private epoch barrier and a topology-aware
-//     contiguous core range; rooms step their rounds with zero
-//     cross-room synchronization and the groups meet only at the
-//     facility barrier.
-//   * flat (A/B baseline): one LockstepExecutor steps every room's every
-//     chunk behind one global barrier per room round — the PR 5 design
-//     stretched across rooms, paying one full-team barrier per round.
-//
-// Both paths execute the identical per-room operation sequence, so
-// results are bit-identical across executors, thread counts, and chunk
-// sizes (test_facility EXPECT_EQs all of it), and bench_facility_scaling
-// measures the two-level win.
+// is a fully independent RoomEngine::Session, so a two-level
+// HierarchicalExecutor gives each room a worker group with a private epoch
+// barrier and a topology-aware contiguous core range: rooms step their
+// rounds with zero cross-room synchronization and the groups meet only at
+// the facility barrier.  Each room executes the same operation sequence
+// as a standalone room, so results are bit-identical across thread counts
+// and chunk sizes (test_facility EXPECT_EQs all of it).
 //
 // At each barrier the facility observes per-room heat load (aggregate
 // CPU watts), asks the CoolingPlant for allocations, and applies them
@@ -51,10 +42,7 @@ struct FacilityParams {
   /// whole multiple of the rooms' coordination period.  <= 0 means every
   /// room round (one room coordination period).
   double facility_period_s = -1.0;
-  /// Two-level hierarchical executor (default) vs the flat single-barrier
-  /// executor (A/B baseline).  Bit-identical either way.
-  bool two_level = true;
-  /// Topology-aware worker placement (two-level only); off = unpinned.
+  /// Topology-aware worker placement; off = unpinned.
   bool pin_topology = true;
   /// Telemetry sinks, fanned down to every room (each stamped with a
   /// globally unique rack-label base); snapshot/progress are driven at
@@ -83,7 +71,6 @@ struct FacilityResult {
   /// Barriers at which the plant could not grant every room's demand.
   std::size_t plant_saturated_rounds = 0;
   double plant_capacity_watts = -1.0;
-  bool two_level = true;
 
   std::size_t size() const noexcept { return rooms.size(); }
   std::size_t total_racks() const noexcept;
@@ -114,7 +101,7 @@ class FacilityEngine {
   std::size_t rounds_per_barrier() const noexcept { return rounds_per_barrier_; }
 
   /// Simulate the whole facility and aggregate.  Deterministic for a
-  /// fixed FacilityParams regardless of `threads` and `two_level`.
+  /// fixed FacilityParams regardless of `threads`.
   FacilityResult run() const;
 
  private:
@@ -124,7 +111,7 @@ class FacilityEngine {
 };
 
 /// The canonical multi-room scenario shared by bench_facility_scaling,
-/// test_facility, and the fsc_facility CLI defaults: `num_rooms` copies
+/// test_facility, and the fsc CLI defaults: `num_rooms` copies
 /// of the contended default room scenario (each re-seeded), under an
 /// unconstrained plant with a flat supply profile — the exact-identity
 /// baseline that CLI/bench flags then constrain.

@@ -61,6 +61,7 @@ void FaultInjector::note_transition(const FaultEvent& e, bool armed,
   if (!armed && cleared_counter_ != nullptr) cleared_counter_->increment();
 #else
   (void)e;
+  (void)armed;
   (void)time_s;
 #endif
 }

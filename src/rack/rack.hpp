@@ -82,8 +82,8 @@ struct RackServerSpec {
 
 /// The one place a slot's demand source is materialised: the spec's trace
 /// when present (no RNG consumed), else the seeded synthetic spiky
-/// workload.  BatchRunner and the coupled rack engine both build through
-/// this so trace-driven and synthetic slots are interchangeable.
+/// workload.  The coupled rack engine builds through this so trace-driven
+/// and synthetic slots are interchangeable.
 std::shared_ptr<const Workload> make_slot_workload(const RackServerSpec& spec,
                                                    Rng& rng);
 

@@ -11,7 +11,6 @@
 #include "obs/snapshot.hpp"
 #include "util/lockstep_executor.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace fsc {
@@ -228,10 +227,9 @@ struct RoomRunTelemetry {
 #endif
 
 // The session's whole state lives behind the pimpl so the header stays
-// free of executor/pool/telemetry internals.
+// free of executor/telemetry internals.
 struct RoomEngine::Session::Impl {
   RoomParams params;
-  bool pooled = false;
 
   std::vector<std::unique_ptr<CoupledRackEngine::Session>> racks;
   std::size_t total_slots = 0;
@@ -282,9 +280,8 @@ struct RoomEngine::Session::Impl {
   std::int64_t round_t0 = 0;
 #endif
 
-  Impl(const RoomParams& p, ThreadPool* pool)
-      : params(p),
-        pooled(pool != nullptr)
+  explicit Impl(const RoomParams& p)
+      : params(p)
 #if FSC_OBS_ENABLED
         ,
         tel(p.obs, p.racks.size())
@@ -303,18 +300,13 @@ struct RoomEngine::Session::Impl {
       rack_params.obs.rack = params.obs.rack + static_cast<std::uint32_t>(i);
       rack_params.obs.snapshot = nullptr;
       rack_params.obs.progress = nullptr;
-      racks.push_back(pool != nullptr
-                          ? std::make_unique<CoupledRackEngine::Session>(
-                                rack_params, *pool)
-                          : std::make_unique<CoupledRackEngine::Session>(
-                                rack_params));
+      racks.push_back(
+          std::make_unique<CoupledRackEngine::Session>(rack_params));
       total_slots += racks.back()->num_slots();
     }
-    if (!pooled) {
-      for (const auto& rack : racks) {
-        for (std::size_t c = 0; c < rack->num_shards(); ++c) {
-          shards.push_back(RoomShard{rack.get(), c});
-        }
+    for (const auto& rack : racks) {
+      for (std::size_t c = 0; c < rack->num_shards(); ++c) {
+        shards.push_back(RoomShard{rack.get(), c});
       }
     }
 
@@ -359,11 +351,8 @@ struct RoomEngine::Session::Impl {
 
   void finish_round() {
     const std::size_t num_racks = racks.size();
-    if (!pooled) {
-      // Deterministic barrier work, in rack order on this thread.  (The
-      // pool path already coordinated inside complete_round().)
-      for (const auto& rack : racks) rack->coordinate_round();
-    }
+    // Deterministic barrier work, in rack order on this thread.
+    for (const auto& rack : racks) rack->coordinate_round();
     if (racks.front()->done()) return;  // run over: nothing to schedule
 
     const double t = racks.front()->time_s();
@@ -504,10 +493,7 @@ struct RoomEngine::Session::Impl {
 };
 
 RoomEngine::Session::Session(const RoomParams& params)
-    : impl_(std::make_unique<Impl>(params, nullptr)) {}
-
-RoomEngine::Session::Session(const RoomParams& params, ThreadPool& pool)
-    : impl_(std::make_unique<Impl>(params, &pool)) {}
+    : impl_(std::make_unique<Impl>(params)) {}
 
 RoomEngine::Session::~Session() = default;
 
@@ -546,17 +532,6 @@ void RoomEngine::Session::run_shard(std::size_t shard) {
   s.session->run_shard(s.local);
 }
 
-void RoomEngine::Session::advance_round() {
-  require(impl_->pooled,
-          "RoomEngine::Session: advance_round needs a pool-constructed "
-          "session (drive run_shard otherwise)");
-  // Launch every rack's coordination period before blocking on any
-  // barrier: the shared pool interleaves all racks' slot work freely.
-  for (const auto& rack : impl_->racks) rack->begin_round();
-  // Each rack's own coordination happens inside complete_round().
-  for (const auto& rack : impl_->racks) rack->complete_round();
-}
-
 void RoomEngine::Session::finish_round() { impl_->finish_round(); }
 
 void RoomEngine::Session::set_facility_scale(double scale) {
@@ -591,27 +566,14 @@ double RoomEngine::Session::cpu_watts_now() const noexcept {
 RoomResult RoomEngine::Session::finish() { return impl_->finish(); }
 
 RoomResult RoomEngine::run() const {
-  if (params_.executor) {
-    // One epoch per round steps every rack's every chunk: intra-rack
-    // parallelism falls out of the flat shard list, and the executor's
-    // pre-assigned spans replace the per-round submit storm.
-    Session session(params_);
-    LockstepExecutor executor(threads_);
-    while (!session.done()) {
-      session.mark_round_start();
-      executor.run(session.num_shards(),
-                   [&session](std::size_t i) { session.run_shard(i); });
-      session.finish_round();
-    }
-    return session.finish();
-  }
-  // The ThreadPool path (kept for A/B): per-round task submission,
-  // bit-identical results.
-  ThreadPool pool(threads_);
-  Session session(params_, pool);
+  // One epoch per round steps every rack's every chunk: intra-rack
+  // parallelism falls out of the flat shard list.
+  Session session(params_);
+  LockstepExecutor executor(threads_);
   while (!session.done()) {
     session.mark_round_start();
-    session.advance_round();
+    executor.run(session.num_shards(),
+                 [&session](std::size_t i) { session.run_shard(i); });
     session.finish_round();
   }
   return session.finish();

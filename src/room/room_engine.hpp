@@ -12,8 +12,8 @@
 //     granularity (hot-aisle recirculation between adjacent racks), adding
 //     a per-rack ambient offset on top of each rack's own shared plenum.
 //
-// Execution model: every room round, all racks' slot work is fanned out
-// into ONE shared ThreadPool (each rack one coordination period), then a
+// Execution model: every room round, all racks' batch chunks run as ONE
+// LockstepExecutor wave (each rack one coordination period), then a
 // deterministic barrier completes the racks in rack order — rack
 // coordination, then room observation, scheduling, and plenum retargeting
 // on the calling thread.  Nothing depends on thread scheduling, so results
@@ -35,8 +35,6 @@
 
 namespace fsc {
 
-class ThreadPool;
-
 /// Everything a room run needs: the racks (each a full coupled-rack spec),
 /// the scheduler selection, and the room-level coupling physics.
 struct RoomParams {
@@ -53,14 +51,6 @@ struct RoomParams {
   RoomSchedulerConfig sched;
   CrossRackPlenumParams cross_plenum;
   bool cross_plenum_enabled = true;
-  /// Drive the room with one persistent LockstepExecutor whose shard unit
-  /// is a *batch chunk* (CoupledRackParams::chunk lanes), pooling every
-  /// rack's chunks into a single pre-assigned shard list per round — the
-  /// first path that parallelises *within* a rack as well as across racks.
-  /// Off = the per-round ThreadPool submission path (kept for A/B;
-  /// bit-identical either way).  Per-rack `executor` flags are ignored at
-  /// room scope: the room owns the execution strategy.
-  bool executor = true;
   /// Telemetry sinks (obs/obs.hpp), default fully detached and read-only
   /// with respect to the simulation (bit-identity preserved; test_obs).
   /// The engine fans metrics/trace down to every rack session (stamping
@@ -102,7 +92,7 @@ struct RoomResult {
   /// Fixed-width per-rack + aggregate report.
   std::string to_table() const;
   /// Machine-readable report (totals + per-rack rows), schema documented
-  /// in the fsc_room example.  The overload embeds a "manifest" object
+  /// in the fsc example.  The overload embeds a "manifest" object
   /// (obs::RunManifest::to_json) as the first key when non-empty, so every
   /// report is self-describing.
   std::string to_json() const { return to_json(std::string()); }
@@ -134,7 +124,6 @@ class RoomEngine {
   ///
   ///   mark_round_start();                 // telemetry t0 only
   ///   for each shard: run_shard(i)        // any executor, any order
-  ///     -- or, pool-constructed -- advance_round();
   ///   finish_round();                     // rack coordination + room
   ///                                       // schedule + plenum, in order
   ///
@@ -154,9 +143,6 @@ class RoomEngine {
     /// Executor-agnostic construction: the caller drives run_shard().
     /// Validates the params exactly like the RoomEngine constructor.
     explicit Session(const RoomParams& params);
-    /// ThreadPool construction (the A/B path): advance_round() fans each
-    /// rack's coordination period into the shared pool.
-    Session(const RoomParams& params, ThreadPool& pool);
     ~Session();
     Session(const Session&) = delete;
     Session& operator=(const Session&) = delete;
@@ -166,20 +152,18 @@ class RoomEngine {
     std::size_t rounds() const noexcept;
     std::size_t num_racks() const noexcept;
     std::size_t num_slots() const noexcept;
-    /// Flattened chunk count across all racks (the run_shard index space).
+    /// Flattened chunk count across all racks (the run_shard index space):
+    /// every rack's chunks in rack order, so one executor wave
+    /// parallelises within racks as well as across them.
     std::size_t num_shards() const noexcept;
 
     /// Telemetry-only: stamps the round's wall-clock t0 (no-op detached).
     void mark_round_start();
-    /// Step one pre-assigned chunk (executor-agnostic path).  Safe to call
-    /// concurrently for distinct shard indices within one round.
+    /// Step one pre-assigned chunk.  Safe to call concurrently for
+    /// distinct shard indices within one round.
     void run_shard(std::size_t shard);
-    /// Pool path: fan every rack's coordination period into the pool and
-    /// barrier (includes rack coordination, like CoupledRackEngine's
-    /// complete_round).  Only valid on pool-constructed sessions.
-    void advance_round();
     /// Deterministic barrier work in rack order on the calling thread:
-    /// rack coordination (executor path), then room observation,
+    /// rack coordination, then room observation,
     /// scheduling, migration detection, and plenum retargeting.  Returns
     /// early (scheduling skipped) when the run just completed.
     void finish_round();
@@ -212,7 +196,7 @@ class RoomEngine {
 };
 
 /// The canonical contended-room scenario shared by bench_migration_benefit,
-/// the fsc_room CLI defaults, and test_room: `num_racks` racks where the
+/// the fsc CLI defaults, and test_room: `num_racks` racks where the
 /// first half carry a heavy spiky load (hot aisle, DTM capping, deadline
 /// pressure) and the second half idle along lightly — the skew a load
 /// migration policy exists to exploit.  `seed` varies the jitter/workload

@@ -13,7 +13,7 @@
 //
 // Concrete schedulers register themselves by string name in the
 // PolicyFactory (core/policy_factory.hpp) so drivers select them exactly
-// like DtmPolicies and RackCoordinators: `fsc_room --policy thermal-headroom`.
+// like DtmPolicies and RackCoordinators: `fsc --racks 4 --scheduler thermal-headroom`.
 #pragma once
 
 #include <cstddef>

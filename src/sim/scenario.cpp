@@ -90,10 +90,7 @@ CoupledRackParams ScenarioSpec::build_rack() const {
   CoupledRackParams p = default_coupled_scenario(seed, duration_s);
   p.rack.num_servers = slots;
   p.plenum_enabled = plenum;
-  p.batched = batched;
   p.chunk = chunk;
-  p.executor = executor;
-  p.gather = gather;
   p.simd = simd;
   if (!coordinator.empty()) p.coordinator = coordinator;
   if (!dtm.empty()) p.rack.policy = dtm;
@@ -113,7 +110,6 @@ RoomParams ScenarioSpec::build_room() const {
   RoomParams p = default_room_scenario(racks, seed, duration_s);
   if (!scheduler.empty()) p.scheduler = scheduler;
   p.cross_plenum_enabled = cross_plenum;
-  p.executor = executor;
   if (room_budget_watts >= 0.0) {
     p.sched.room_power_budget_watts = room_budget_watts;
   }
@@ -126,9 +122,7 @@ RoomParams ScenarioSpec::build_room() const {
     CoupledRackParams& rack = p.racks[r];
     rack.rack.num_servers = slots;
     rack.plenum_enabled = plenum;
-    rack.batched = batched;
     rack.chunk = chunk;
-    rack.gather = gather;
     rack.simd = simd;
     if (!coordinator.empty()) rack.coordinator = coordinator;
     if (!dtm.empty()) rack.rack.policy = dtm;
@@ -167,7 +161,6 @@ FacilityParams ScenarioSpec::build_facility() const {
   f.plant.supply_amplitude_c = supply_amplitude_c;
   f.plant.supply_period_s = supply_period_s;
   f.facility_period_s = facility_period_s;
-  f.two_level = two_level;
   return f;
 }
 
@@ -188,9 +181,6 @@ std::string ScenarioSpec::to_json(int indent) const {
   o.set("cross_plenum", json::Value::boolean(cross_plenum));
   o.set("threads", json::Value::number(static_cast<double>(threads)));
   o.set("chunk", json::Value::number(static_cast<double>(chunk)));
-  o.set("batched", json::Value::boolean(batched));
-  o.set("executor", json::Value::boolean(executor));
-  o.set("gather", json::Value::boolean(gather));
   o.set("simd", json::Value::string(to_string(simd)));
   o.set("trace_dir", json::Value::string(trace_dir));
   o.set("trace_pack", json::Value::string(trace_pack));
@@ -200,7 +190,6 @@ std::string ScenarioSpec::to_json(int indent) const {
   o.set("supply_amplitude_c", json::Value::number(supply_amplitude_c));
   o.set("supply_period_s", json::Value::number(supply_period_s));
   o.set("facility_period_s", json::Value::number(facility_period_s));
-  o.set("two_level", json::Value::boolean(two_level));
   return o.dump(indent);
 }
 
@@ -254,12 +243,6 @@ ScenarioSpec ScenarioSpec::from_json_text(const std::string& text) {
       spec.threads = as_index(value, "threads");
     } else if (key == "chunk") {
       spec.chunk = as_index(value, "chunk");
-    } else if (key == "batched") {
-      spec.batched = value.as_bool();
-    } else if (key == "executor") {
-      spec.executor = value.as_bool();
-    } else if (key == "gather") {
-      spec.gather = value.as_bool();
     } else if (key == "simd") {
       spec.simd = simd_mode_from_string(value.as_string());
     } else if (key == "trace_dir") {
@@ -278,8 +261,6 @@ ScenarioSpec ScenarioSpec::from_json_text(const std::string& text) {
       spec.supply_period_s = value.as_number();
     } else if (key == "facility_period_s") {
       spec.facility_period_s = value.as_number();
-    } else if (key == "two_level") {
-      spec.two_level = value.as_bool();
     } else {
       // A typo'd knob must not silently run the default.
       throw std::invalid_argument("ScenarioSpec: unknown key '" + key + "'");

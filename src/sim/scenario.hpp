@@ -2,19 +2,18 @@
 //
 // Before this existed each driver hand-assembled CoupledRackParams or
 // RoomParams from a dozen flag variables — the same fifteen lines of
-// override plumbing in fsc_rack, fsc_room, and every bench, drifting
+// override plumbing in every CLI and bench, drifting
 // independently.  A ScenarioSpec is the flag set as *data*: fleet shape,
 // policy names, seed, execution knobs, trace source, and the fault plan,
 // validated once (validate()) and lowered onto the engine parameter
 // structs by build_rack()/build_room().  The JSON form (to_json /
 // from_json_file) makes a run reproducible from one file:
 //
-//   fsc_rack --scenario run.json
-//   fsc_room --scenario run.json
+//   fsc --scenario run.json
 //
-// Both CLIs parse their flags INTO a ScenarioSpec (examples/cli_util.hpp)
-// and build engines exclusively through it, so a flag invocation and its
-// JSON transcription are the same run by construction.
+// The CLI parses its flags INTO a ScenarioSpec (examples/cli_util.hpp) and
+// builds engines exclusively through it, so a flag invocation and its JSON
+// transcription are the same run by construction.
 //
 // Layering: sim/ is normally below coord/ and room/; scenario.{hpp,cpp} is
 // the sanctioned exception that reaches up, because "describe a whole run"
@@ -61,9 +60,6 @@ struct ScenarioSpec {
   // --- execution ---------------------------------------------------------
   std::size_t threads = 0;  ///< 0 = hardware concurrency
   std::size_t chunk = 0;    ///< lanes per batch chunk; 0 = auto
-  bool batched = true;
-  bool executor = true;
-  bool gather = true;  ///< batched WorkloadTable demand path (bit-identical)
   simd::SimdMode simd = simd::SimdMode::kOff;
 
   // --- inputs ------------------------------------------------------------
@@ -78,7 +74,6 @@ struct ScenarioSpec {
   double supply_amplitude_c = 0.0;     ///< diurnal supply-air peak offset
   double supply_period_s = 86400.0;    ///< supply profile cycle (a day)
   double facility_period_s = -1.0;     ///< <= 0 = every coordination round
-  bool two_level = true;               ///< hierarchical vs flat executor
 
   bool operator==(const ScenarioSpec&) const = default;
 
@@ -106,7 +101,7 @@ struct ScenarioSpec {
   /// Lower onto the facility-scale engine parameters: `rooms` copies of
   /// build_room(), each re-seeded with derive_seed(seed, 1000 + room) —
   /// the exact recipe a per-room standalone equivalence check rebuilds —
-  /// under the plant/profile/executor knobs above.  Requires rooms >= 1.
+  /// under the plant/profile knobs above.  Requires rooms >= 1.
   FacilityParams build_facility() const;
 
   /// The spec as a JSON object — a valid --scenario file.  Defaulted

@@ -1,15 +1,13 @@
 // Persistent-worker lockstep executor: the steady-state engine room of the
 // rack/room lockstep loops.
 //
-// The ThreadPool (util/thread_pool.hpp) is a general task queue: every
-// submit() allocates a shared_ptr<packaged_task> plus a std::function and
-// takes the one global queue mutex, and every barrier is a future::get.
-// That is fine for coarse batch sweeps, but the lockstep engines submit a
-// fresh wave of tasks every coordination round — thousands of rounds per
-// run — and the per-round submit storm plus futex traffic swamps the
-// actual physics once the work is chunked finely enough to scale.
+// A general task queue would allocate a task per submit, take one global
+// queue mutex, and barrier on futures.  The lockstep engines run a fresh
+// wave every coordination round — thousands of rounds per run — so that
+// per-round submit storm plus futex traffic would swamp the actual physics
+// once the work is chunked finely enough to scale.
 //
-// The LockstepExecutor replaces the queue with the classic DAQ-style
+// The LockstepExecutor instead uses the classic DAQ-style
 // persistent-worker design (cf. the YARR-like run loops in the related
 // repos): workers are spawned once and park on an atomic *epoch* counter;
 // each run(count, fn) pre-assigns every participant a contiguous shard of
@@ -21,9 +19,8 @@
 //
 // Determinism: shard assignment is a pure function of (count, size()), so
 // which participant executes which index never depends on scheduling.  The
-// engines only hand the executor index-disjoint work (batch chunks, slot
-// sessions), so results are bit-identical for any thread count — the same
-// guarantee the ThreadPool path gives, at a fraction of the overhead.
+// engines only hand the executor index-disjoint work (batch chunks), so
+// results are bit-identical for any thread count.
 //
 // Exceptions: a shard that throws aborts the remainder of that
 // participant's shard span (other participants run to completion); run()

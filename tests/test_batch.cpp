@@ -8,10 +8,11 @@
 //   * RackBatchStepper's lane accounting (sensor phase, energy, junction
 //     statistics) against per-slot scalar Session::step_period, at every
 //     period boundary, across chunk widths, thread counts and a
-//     mid-run force_scalar;
-//   * a full coupled rack run through the batched CoupledRackEngine
-//     against the scalar (one-task-per-server) path, across 1/2/8 threads;
-//   * a full scheduled room likewise.
+//     mid-run force_scalar, under the per-period fan overrides, cap
+//     limits, demand scales and inlet changes a coordinator and a room
+//     impose between periods;
+//   * a full coupled rack run and a full scheduled room across chunk
+//     widths and thread counts, against a 1-thread whole-rack-chunk run.
 //
 // Every comparison below uses exact double equality (EXPECT_EQ), because
 // the design guarantee is "same FP operations in the same per-slot order",
@@ -360,6 +361,29 @@ RackParams lane_rack() {
   return rack;
 }
 
+/// What coordinate_round and the room change between periods, as a pure
+/// function of (period, slot): fan overrides set and cleared, cap limits,
+/// demand scales and inlet retargets.  The reference and the stepper run
+/// apply exactly the same steering at the same barrier.
+void steer(long period, std::size_t slot, LaneSlot& lane) {
+  SimulationEngine::Session& s = *lane.session;
+  const long phase = period + static_cast<long>(slot);
+  if (phase % 5 == 0) {
+    s.set_fan_override(2500.0 + 900.0 * static_cast<double>(slot % 4));
+  } else if (phase % 5 == 3) {
+    s.clear_fan_override();
+  }
+  s.set_cap_limit(phase % 7 < 3 ? 0.55 + 0.1 * static_cast<double>(slot % 3)
+                                : 1.0);
+  s.set_demand_scale(period % 11 < 6 ? 1.0
+                                     : 0.6 + 0.2 * static_cast<double>(slot % 3));
+  if (period % 13 == 6) {
+    lane.server.set_inlet_temperature(
+        lane.server.inlet_temperature() + 0.5 * static_cast<double>(slot % 4) -
+        0.75);
+  }
+}
+
 std::vector<std::unique_ptr<LaneSlot>> make_lane_slots(const RackParams& rack_params) {
   const Rack rack(rack_params);
   std::vector<std::unique_ptr<LaneSlot>> slots;
@@ -377,9 +401,10 @@ TEST(LaneAccounting, StepperMatchesScalarSessionsEveryPeriod) {
   {
     auto slots = make_lane_slots(rack);
     for (long p = 0; p < kLanePeriods; ++p) {
-      for (auto& slot : slots) {
-        slot->session->step_period();
-        want[p].push_back(lane_state(*slot));
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        steer(p, i, *slots[i]);
+        slots[i]->session->step_period();
+        want[p].push_back(lane_state(*slots[i]));
       }
     }
   }
@@ -401,6 +426,7 @@ TEST(LaneAccounting, StepperMatchesScalarSessionsEveryPeriod) {
       LockstepExecutor executor(threads);
       for (long p = 0; p < kLanePeriods; ++p) {
         if (p == kForcePeriod) stepper.force_scalar(kForcedSlot);
+        for (std::size_t i = 0; i < kLaneSlots; ++i) steer(p, i, *slots[i]);
         executor.run(stepper.num_chunks(), [&stepper](std::size_t c) {
           stepper.advance_chunk_periods(c, 1);
         });
@@ -469,7 +495,7 @@ TEST(LaneAccounting, StepperAcceptsSinksThatDeclareNoPhysicsSteps) {
   EXPECT_EQ(session.periods_done(), 3);
 }
 
-// --------------------------------------- full rack: batched vs scalar path
+// ------------------------- full rack and room: chunk x thread invariance
 
 void expect_identical(const CoupledRackResult& a, const CoupledRackResult& b) {
   ASSERT_EQ(a.slots.size(), b.slots.size());
@@ -502,74 +528,27 @@ CoupledRackParams rack_params(const std::string& coordinator) {
   return p;
 }
 
-TEST(BatchedRack, BitIdenticalToScalarPathAcross128Threads) {
+TEST(BatchedRack, BitIdenticalAcrossChunkSizesAndThreads) {
+  // Reference: one whole-rack chunk on one thread.  Every chunk
+  // granularity {1, odd, auto} x {1, 2, 8} threads must reproduce it.
   for (const char* coordinator : {"independent", "shared-fan-zone", "power-budget"}) {
-    CoupledRackParams scalar_params = rack_params(coordinator);
-    scalar_params.batched = false;
-    const CoupledRackResult scalar =
-        CoupledRackEngine(scalar_params, 1).run();
+    CoupledRackParams ref_params = rack_params(coordinator);
+    ref_params.chunk = ref_params.rack.num_servers;
+    const CoupledRackResult ref = CoupledRackEngine(ref_params, 1).run();
 
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      CoupledRackParams batched_params = rack_params(coordinator);
-      batched_params.batched = true;
-      const CoupledRackResult batched =
-          CoupledRackEngine(batched_params, threads).run();
-      SCOPED_TRACE(std::string(coordinator) + " threads=" +
-                   std::to_string(threads));
-      expect_identical(scalar, batched);
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
+                              std::size_t{0} /* auto */}) {
+      for (std::size_t threads : {1u, 2u, 8u}) {
+        CoupledRackParams p = rack_params(coordinator);
+        p.chunk = chunk;
+        SCOPED_TRACE(std::string(coordinator) + " chunk=" +
+                     std::to_string(chunk) + " threads=" +
+                     std::to_string(threads));
+        expect_identical(ref, CoupledRackEngine(p, threads).run());
+      }
     }
   }
 }
-
-TEST(ChunkedRack, BitIdenticalAcrossChunkSizesThreadsAndDrivers) {
-  // The chunked executor path must reproduce BOTH references exactly: the
-  // scalar one-task-per-server path and the PR-4 whole-rack batched path
-  // (chunk >= N, ThreadPool driver), for every chunk granularity {1, odd,
-  // auto, N} x {1, 2, 8} threads.
-  CoupledRackParams scalar_params = rack_params("shared-fan-zone");
-  scalar_params.batched = false;
-  scalar_params.executor = false;
-  const CoupledRackResult scalar = CoupledRackEngine(scalar_params, 1).run();
-
-  CoupledRackParams pr4_params = rack_params("shared-fan-zone");
-  pr4_params.batched = true;
-  pr4_params.executor = false;
-  pr4_params.chunk = pr4_params.rack.num_servers;  // one whole-rack chunk
-  const CoupledRackResult pr4 = CoupledRackEngine(pr4_params, 2).run();
-  expect_identical(scalar, pr4);
-
-  for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
-                            std::size_t{0} /* auto */}) {
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      CoupledRackParams p = rack_params("shared-fan-zone");
-      p.batched = true;
-      p.executor = true;
-      p.chunk = chunk;
-      const CoupledRackResult chunked = CoupledRackEngine(p, threads).run();
-      SCOPED_TRACE("chunk=" + std::to_string(chunk) +
-                   " threads=" + std::to_string(threads));
-      expect_identical(scalar, chunked);
-      expect_identical(pr4, chunked);
-    }
-  }
-}
-
-TEST(ChunkedRack, ScalarShardsThroughTheExecutorMatchToo) {
-  // executor on + batched off: shard unit is a slot; still bit-identical.
-  CoupledRackParams ref = rack_params("power-budget");
-  ref.batched = false;
-  ref.executor = false;
-  const CoupledRackResult scalar = CoupledRackEngine(ref, 1).run();
-  for (std::size_t threads : {1u, 8u}) {
-    CoupledRackParams p = rack_params("power-budget");
-    p.batched = false;
-    p.executor = true;
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_identical(scalar, CoupledRackEngine(p, threads).run());
-  }
-}
-
-// --------------------------------------- full room: batched vs scalar path
 
 void expect_identical(const RoomResult& a, const RoomResult& b) {
   ASSERT_EQ(a.racks.size(), b.racks.size());
@@ -588,56 +567,24 @@ void expect_identical(const RoomResult& a, const RoomResult& b) {
   }
 }
 
-TEST(BatchedRoom, BitIdenticalToScalarPathAcross128Threads) {
-  RoomParams scalar_params = default_room_scenario(2, 77, 240.0);
-  scalar_params.scheduler = "thermal-headroom";
-  for (CoupledRackParams& rack : scalar_params.racks) rack.batched = false;
-  const RoomResult scalar = RoomEngine(scalar_params, 1).run();
-
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    RoomParams batched_params = default_room_scenario(2, 77, 240.0);
-    batched_params.scheduler = "thermal-headroom";
-    for (CoupledRackParams& rack : batched_params.racks) rack.batched = true;
-    const RoomResult batched = RoomEngine(batched_params, threads).run();
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_identical(scalar, batched);
+TEST(BatchedRoom, BitIdenticalAcrossChunkSizesAndThreads) {
+  // Reference: one whole-rack chunk per rack on one thread.
+  RoomParams ref_params = default_room_scenario(2, 77, 240.0);
+  ref_params.scheduler = "thermal-headroom";
+  for (CoupledRackParams& rack : ref_params.racks) {
+    rack.chunk = rack.rack.num_servers;
   }
-}
-
-TEST(ChunkedRoom, BitIdenticalAcrossChunkSizesThreadsAndDrivers) {
-  // References: the scalar ThreadPool room and the PR-4 whole-rack-chunk
-  // ThreadPool room; the chunked executor room must match both for chunk
-  // sizes {1, odd, auto} x {1, 2, 8} threads.
-  RoomParams scalar_params = default_room_scenario(2, 77, 240.0);
-  scalar_params.scheduler = "thermal-headroom";
-  scalar_params.executor = false;
-  for (CoupledRackParams& rack : scalar_params.racks) rack.batched = false;
-  const RoomResult scalar = RoomEngine(scalar_params, 1).run();
-
-  RoomParams pr4_params = default_room_scenario(2, 77, 240.0);
-  pr4_params.scheduler = "thermal-headroom";
-  pr4_params.executor = false;
-  for (CoupledRackParams& rack : pr4_params.racks) {
-    rack.batched = true;
-    rack.chunk = rack.rack.num_servers;  // one whole-rack chunk per rack
-  }
-  const RoomResult pr4 = RoomEngine(pr4_params, 2).run();
-  expect_identical(scalar, pr4);
+  const RoomResult ref = RoomEngine(ref_params, 1).run();
+  ASSERT_GT(ref.migration_events, 0u);  // the scheduler must steer the racks
 
   for (std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
     for (std::size_t threads : {1u, 2u, 8u}) {
       RoomParams p = default_room_scenario(2, 77, 240.0);
       p.scheduler = "thermal-headroom";
-      p.executor = true;
-      for (CoupledRackParams& rack : p.racks) {
-        rack.batched = true;
-        rack.chunk = chunk;
-      }
-      const RoomResult chunked = RoomEngine(p, threads).run();
+      for (CoupledRackParams& rack : p.racks) rack.chunk = chunk;
       SCOPED_TRACE("chunk=" + std::to_string(chunk) +
                    " threads=" + std::to_string(threads));
-      expect_identical(scalar, chunked);
-      expect_identical(pr4, chunked);
+      expect_identical(ref, RoomEngine(p, threads).run());
     }
   }
 }

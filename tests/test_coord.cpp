@@ -1,6 +1,6 @@
 // coord/ subsystem tests: coordinator registry, plenum physics, water-fill
 // arbitration, lockstep determinism (bit-identical across thread counts),
-// equivalence with the uncoupled BatchRunner, trace round-trips through
+// equivalence with per-slot run_simulation, trace round-trips through
 // the rack, and the coordination benefit on the default scenario.
 #include <gtest/gtest.h>
 
@@ -12,12 +12,25 @@
 #include "coord/plenum.hpp"
 #include "coord/policies.hpp"
 #include "core/policy_factory.hpp"
-#include "rack/batch_runner.hpp"
+#include "rack/rack.hpp"
+#include "sim/simulation.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/trace_io.hpp"
 
 namespace fsc {
 namespace {
+
+/// One slot simulated on its own through run_simulation, built exactly as
+/// the rack engine builds the slot (same spec, RNG stream, workload and
+/// policy) — the uncoupled reference the lockstep engine must reproduce.
+SimulationResult run_slot_alone(const RackServerSpec& spec,
+                                const RackParams& rack) {
+  Rng rng(spec.seed);
+  const auto workload = make_slot_workload(spec, rng);
+  Server server(spec.server, spec.solution.initial_fan_rpm, rng);
+  const auto dtm = PolicyFactory::instance().make(rack.policy, spec.solution);
+  return run_simulation(server, *dtm, *workload, rack.sim);
+}
 
 CoupledRackParams small_params(std::size_t n = 6, double duration_s = 120.0) {
   CoupledRackParams p;
@@ -270,30 +283,39 @@ TEST(CoupledRackEngine, RepeatedRunsAreIdentical) {
   expect_identical(engine.run(), engine.run());
 }
 
-TEST(CoupledRackEngine, UncoupledIndependentMatchesBatchRunnerExactly) {
-  // plenum off + no-op coordinator: the lockstep engine must reproduce the
-  // embarrassingly-parallel BatchRunner bit for bit (same specs, same RNG
-  // streams, same physics — only the execution schedule differs).
+TEST(CoupledRackEngine, UncoupledIndependentMatchesPerSlotRunsExactly) {
+  // plenum off + no-op coordinator: the lockstep engine must reproduce
+  // independent per-slot runs bit for bit (same specs, same RNG streams,
+  // same physics — only the execution schedule differs).
   CoupledRackParams p = small_params();
   p.plenum_enabled = false;
   const CoupledRackResult coupled = CoupledRackEngine(p, 3).run();
-  const RackResult batch = BatchRunner(2).run(Rack(p.rack));
-  ASSERT_EQ(coupled.size(), batch.size());
+  const Rack rack(p.rack);
+  ASSERT_EQ(coupled.size(), rack.size());
+  double fan_energy = 0.0;
+  double cpu_energy = 0.0;
+  std::size_t periods = 0;
+  std::size_t violations = 0;
   for (std::size_t i = 0; i < coupled.size(); ++i) {
-    EXPECT_EQ(coupled.slots[i].result.fan_energy_joules,
-              batch.servers[i].result.fan_energy_joules);
-    EXPECT_EQ(coupled.slots[i].result.cpu_energy_joules,
-              batch.servers[i].result.cpu_energy_joules);
+    const SimulationResult alone = run_slot_alone(rack.server(i), p.rack);
+    const SolutionResult row = alone.summarize("slot");
+    EXPECT_EQ(coupled.slots[i].result.fan_energy_joules, row.fan_energy_joules);
+    EXPECT_EQ(coupled.slots[i].result.cpu_energy_joules, row.cpu_energy_joules);
     EXPECT_EQ(coupled.slots[i].deadline_violations,
-              batch.servers[i].deadline_violations);
+              alone.deadline.violations());
     EXPECT_EQ(coupled.slots[i].result.max_junction_celsius,
-              batch.servers[i].result.max_junction_celsius);
+              row.max_junction_celsius);
     EXPECT_EQ(coupled.slots[i].result.thermal_violation_percent,
-              batch.servers[i].result.thermal_violation_percent);
+              row.thermal_violation_percent);
+    fan_energy += row.fan_energy_joules;
+    cpu_energy += row.cpu_energy_joules;
+    periods += alone.deadline.periods();
+    violations += alone.deadline.violations();
   }
-  EXPECT_EQ(coupled.total_energy_joules, batch.total_energy_joules);
+  EXPECT_EQ(coupled.total_energy_joules, fan_energy + cpu_energy);
   EXPECT_EQ(coupled.deadline_violation_percent,
-            batch.deadline_violation_percent);
+            100.0 * static_cast<double>(violations) /
+                static_cast<double>(periods));
 }
 
 TEST(CoupledRackEngine, PlenumCouplingRaisesInletsAboveBase) {
@@ -434,19 +456,18 @@ TEST(TraceDrivenRack, SaveLoadRoundTripGivesIdenticalSlotSummaries) {
   RackParams p_loaded = p;
   p_loaded.traces.assign(loaded.begin(), loaded.end());
 
-  const RackResult a = BatchRunner(2).run(Rack(p_orig));
-  const RackResult b = BatchRunner(2).run(Rack(p_loaded));
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.servers[i].result.fan_energy_joules,
-              b.servers[i].result.fan_energy_joules);
-    EXPECT_EQ(a.servers[i].result.cpu_energy_joules,
-              b.servers[i].result.cpu_energy_joules);
-    EXPECT_EQ(a.servers[i].result.max_junction_celsius,
-              b.servers[i].result.max_junction_celsius);
-    EXPECT_EQ(a.servers[i].deadline_violations, b.servers[i].deadline_violations);
+  const Rack rack_orig(p_orig);
+  const Rack rack_loaded(p_loaded);
+  ASSERT_EQ(rack_orig.size(), rack_loaded.size());
+  for (std::size_t i = 0; i < rack_orig.size(); ++i) {
+    const SimulationResult a = run_slot_alone(rack_orig.server(i), p_orig);
+    const SimulationResult b = run_slot_alone(rack_loaded.server(i), p_loaded);
+    EXPECT_EQ(a.fan_energy_joules, b.fan_energy_joules) << i;
+    EXPECT_EQ(a.cpu_energy_joules, b.cpu_energy_joules) << i;
+    EXPECT_EQ(a.summarize("a").max_junction_celsius,
+              b.summarize("b").max_junction_celsius) << i;
+    EXPECT_EQ(a.deadline.violations(), b.deadline.violations()) << i;
   }
-  EXPECT_EQ(a.total_energy_joules, b.total_energy_joules);
 }
 
 }  // namespace

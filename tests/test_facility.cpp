@@ -142,7 +142,7 @@ TEST(CoolingPlant, WeatherOffsetIsExactZeroAtZeroAmplitude) {
 /// constrained enough to throttle and a diurnal supply swing — the
 /// identity sweep must hold on the *interesting* trajectories, not just
 /// the unconstrained identity.
-FacilityParams small_facility(bool two_level, std::size_t chunk) {
+FacilityParams small_facility(std::size_t chunk) {
   FacilityParams f = default_facility_scenario(2, 2, 42, 300.0);
   for (RoomParams& room : f.rooms) {
     for (CoupledRackParams& rack : room.racks) {
@@ -153,7 +153,6 @@ FacilityParams small_facility(bool two_level, std::size_t chunk) {
   f.plant.capacity_watts = 600.0;  // ~16 mid-load servers want more
   f.plant.supply_amplitude_c = 2.0;
   f.plant.supply_period_s = 600.0;
-  f.two_level = two_level;
   f.pin_topology = false;  // CI runners dislike affinity calls
   return f;
 }
@@ -216,37 +215,34 @@ void expect_identical(const FacilityResult& a, const FacilityResult& b) {
 
 TEST(FacilityEngine, ValidatesConstruction) {
   EXPECT_THROW(FacilityEngine(FacilityParams{}, 1), std::invalid_argument);
-  EXPECT_THROW(FacilityEngine(small_facility(true, 0), 0),
+  EXPECT_THROW(FacilityEngine(small_facility(0), 0),
                std::invalid_argument);
   // Rooms must share the lockstep timing.
-  FacilityParams p = small_facility(true, 0);
+  FacilityParams p = small_facility(0);
   p.rooms[1].racks[0].coord.coordination_period_s = 60.0;
   EXPECT_THROW(FacilityEngine(std::move(p), 1), std::invalid_argument);
   // The facility period must be a whole multiple of the room round.
-  p = small_facility(true, 0);
+  p = small_facility(0);
   p.facility_period_s = 45.0;  // rounds are 30 s
   EXPECT_THROW(FacilityEngine(std::move(p), 1), std::invalid_argument);
-  p = small_facility(true, 0);
+  p = small_facility(0);
   p.facility_period_s = 90.0;
   const FacilityEngine ok(std::move(p), 1);
   EXPECT_EQ(ok.rounds_per_barrier(), 3u);
 }
 
-TEST(FacilityEngine, BitIdenticalAcrossThreadsChunksAndExecutors) {
+TEST(FacilityEngine, BitIdenticalAcrossThreadsAndChunks) {
   const FacilityResult baseline =
-      FacilityEngine(small_facility(/*two_level=*/true, /*chunk=*/0), 1).run();
+      FacilityEngine(small_facility(/*chunk=*/0), 1).run();
   EXPECT_GT(baseline.facility_rounds, 0u);
-  for (bool two_level : {true, false}) {
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
-      for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{8}}) {
-        SCOPED_TRACE((two_level ? "two-level" : "flat") +
-                     std::string(" chunk=") + std::to_string(chunk) +
-                     " threads=" + std::to_string(threads));
-        const FacilityResult run =
-            FacilityEngine(small_facility(two_level, chunk), threads).run();
-        expect_identical(baseline, run);
-      }
+  for (std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                std::size_t{8}}) {
+      SCOPED_TRACE("chunk=" + std::to_string(chunk) +
+                   " threads=" + std::to_string(threads));
+      const FacilityResult run =
+          FacilityEngine(small_facility(chunk), threads).run();
+      expect_identical(baseline, run);
     }
   }
 }
@@ -283,7 +279,7 @@ TEST(FacilityEngine, UnconstrainedPlantEqualsStandaloneRooms) {
 
 TEST(FacilityEngine, ConstrainedPlantSaturatesAndThrottles) {
   const FacilityResult run =
-      FacilityEngine(small_facility(true, 0), 2).run();
+      FacilityEngine(small_facility(0), 2).run();
   EXPECT_GT(run.plant_saturated_rounds, 0u);
   double min_scale = 1.0;
   double max_offset = 0.0;
@@ -319,7 +315,7 @@ TEST(FacilityEngine, CoarseTimingRunsTheBenchConfig) {
 }
 
 TEST(FacilityEngine, ReportsSerialize) {
-  const FacilityResult run = FacilityEngine(small_facility(true, 0), 1).run();
+  const FacilityResult run = FacilityEngine(small_facility(0), 1).run();
   EXPECT_NE(run.to_table().find("plant"), std::string::npos);
   EXPECT_NE(run.to_json().find("\"rooms\""), std::string::npos);
   EXPECT_NE(run.to_json("{\"x\": 1}").find("\"manifest\""), std::string::npos);
@@ -337,7 +333,6 @@ TEST(ScenarioFacility, JsonRoundTripsFacilityKeys) {
   spec.supply_amplitude_c = 3.25;
   spec.supply_period_s = 43200.0;
   spec.facility_period_s = 90.0;
-  spec.two_level = false;
   EXPECT_EQ(ScenarioSpec::from_json_text(spec.to_json()), spec);
 }
 
@@ -371,7 +366,6 @@ TEST(ScenarioFacility, BuildFacilityWiresTheKnobs) {
   spec.plant_capacity_watts = 999.0;
   spec.supply_amplitude_c = 1.5;
   spec.facility_period_s = 60.0;
-  spec.two_level = false;
   const FacilityParams f = spec.build_facility();
   ASSERT_EQ(f.rooms.size(), 2u);
   EXPECT_EQ(f.rooms[0].racks.size(), 3u);
@@ -379,7 +373,6 @@ TEST(ScenarioFacility, BuildFacilityWiresTheKnobs) {
   EXPECT_EQ(f.plant.capacity_watts, 999.0);
   EXPECT_EQ(f.plant.supply_amplitude_c, 1.5);
   EXPECT_EQ(f.facility_period_s, 60.0);
-  EXPECT_FALSE(f.two_level);
   // Rooms are re-seeded per room, so their racks' seeds differ.
   EXPECT_NE(f.rooms[0].racks[0].rack.base_seed,
             f.rooms[1].racks[0].rack.base_seed);

@@ -15,12 +15,14 @@
 #include "actuator/fan_actuator.hpp"
 #include "coord/coupled_rack_engine.hpp"
 #include "coord/policies.hpp"
+#include "core/policy_factory.hpp"
 #include "fault/fault_generator.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "room/schedulers.hpp"
 #include "sensor/sensor_chain.hpp"
 #include "sim/server.hpp"
+#include "sim/simulation.hpp"
 #include "util/rng.hpp"
 #include "workload/predictor.hpp"
 
@@ -208,16 +210,36 @@ TEST(FaultInjection, FaultsChangeTheOutcome) {
             healthy.slots[1].result.max_junction_celsius);
 }
 
-TEST(FaultInjection, BatchedAndScalarAgreeUnderFaults) {
-  // Forced-scalar lanes must leave the healthy lanes' batched stepping
-  // byte-identical to the all-scalar path.
+TEST(FaultInjection, HealthyLanesMatchTheirScalarRunsUnderFaults) {
+  // Faulted lanes leave the batch for the scalar path (force_scalar); the
+  // healthy lanes of an uncoupled rack, batched next to them, must still
+  // match each slot simulated alone through Server::step.
   CoupledRackParams p = small_params();
-  p.coordinator = "failsafe";
-  p.faults = mixed_plan();
-  CoupledRackParams scalar = p;
-  scalar.batched = false;
-  expect_identical(CoupledRackEngine(p, 2).run(),
-                   CoupledRackEngine(scalar, 2).run());
+  p.coordinator = "independent";
+  p.plenum_enabled = false;
+  p.faults = mixed_plan();  // slots 0, 2 and 4
+  const Rack rack(p.rack);
+  for (std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
+    p.chunk = chunk;
+    const CoupledRackResult faulted = CoupledRackEngine(p, 2).run();
+    for (std::size_t i : {1u, 3u, 5u}) {
+      SCOPED_TRACE(testing::Message() << "chunk=" << chunk << " slot=" << i);
+      const RackServerSpec& spec = rack.server(i);
+      Rng rng(spec.seed);
+      const auto workload = make_slot_workload(spec, rng);
+      Server server(spec.server, spec.solution.initial_fan_rpm, rng);
+      const auto dtm =
+          PolicyFactory::instance().make(p.rack.policy, spec.solution);
+      const SimulationResult alone =
+          run_simulation(server, *dtm, *workload, p.rack.sim);
+      EXPECT_EQ(faulted.slots[i].result.fan_energy_joules,
+                alone.fan_energy_joules);
+      EXPECT_EQ(faulted.slots[i].result.cpu_energy_joules,
+                alone.cpu_energy_joules);
+      EXPECT_EQ(faulted.slots[i].deadline_violations,
+                alone.deadline.violations());
+    }
+  }
 }
 
 // ------------------------------------------------- barrier-level effects

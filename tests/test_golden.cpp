@@ -1,6 +1,6 @@
 // Golden digests: a cross-commit correctness net.  Every other bit-identity
 // test compares two paths inside one build, so a change that alters the
-// physics on every path at once passes all of them.  These four canonical
+// physics on every path at once passes all of them.  These canonical
 // scenarios pin the simulated outputs themselves: each one's manifest-free
 // report is hashed (FNV-1a, 64 bit) and compared with the digest committed
 // in tests/golden/digests.txt.
@@ -120,6 +120,63 @@ std::string table3_single_server() {
   return os.str();
 }
 
+std::string rack_8_power_budget() {
+  ScenarioSpec s;
+  s.slots = 8;
+  s.seed = 505;
+  s.duration_s = 600.0;
+  s.coordinator = "power-budget";
+  s.threads = 2;
+  return CoupledRackEngine(s.build_rack(), s.threads).run().to_json();
+}
+
+// Every lane replays a pre-sampled trace, so the racks resolve demand
+// through the WorkloadTable gather.
+std::string room_4x8_static_traces() {
+  ScenarioSpec s;
+  s.racks = 4;
+  s.slots = 8;
+  s.seed = 606;
+  s.duration_s = 600.0;
+  s.scheduler = "static";
+  s.trace_dir = std::string(FSC_SOURCE_DIR) + "/examples/traces";
+  s.threads = 2;
+  return RoomEngine(s.build_room(), s.threads).run().to_json();
+}
+
+std::string room_faulted_failsafe() {
+  ScenarioSpec s;
+  s.racks = 3;
+  s.slots = 8;
+  s.seed = 707;
+  s.duration_s = 900.0;
+  s.scheduler = "failsafe";
+  s.coordinator = "failsafe";
+  s.threads = 2;
+  FaultScenarioParams fp;
+  fp.num_racks = s.racks;
+  fp.num_slots = s.slots;
+  fp.duration_s = s.duration_s;
+  fp.num_events = 6;
+  s.faults = FaultScenarioGenerator(fp).generate(derive_seed(s.seed, 0xFA17));
+  return RoomEngine(s.build_room(), s.threads).run().to_json();
+}
+
+// A noisy sensor sampled every 0.73 s, off the 1 s control period and off
+// the physics substep, so a sample lands mid-period at a shifting phase.
+std::string rack_sensor_off_period() {
+  ScenarioSpec s;
+  s.slots = 8;
+  s.seed = 808;
+  s.duration_s = 600.0;
+  s.coordinator = "shared-fan-zone";
+  s.threads = 2;
+  CoupledRackParams p = s.build_rack();
+  p.rack.server.sensor.sample_period_s = 0.73;
+  p.rack.server.sensor.noise_stddev = 0.5;
+  return CoupledRackEngine(p, s.threads).run().to_json();
+}
+
 struct Scenario {
   const char* name;
   std::string (*report)();
@@ -130,6 +187,10 @@ constexpr Scenario kScenarios[] = {
     {"rack-64-shared-fan-zone", rack_64_shared_fan_zone},
     {"facility-2-rooms-faulted", facility_2_rooms_faulted},
     {"table3-single-server", table3_single_server},
+    {"rack-8-power-budget", rack_8_power_budget},
+    {"room-4x8-static-traces", room_4x8_static_traces},
+    {"room-3x8-faulted-failsafe", room_faulted_failsafe},
+    {"rack-8-sensor-0.73s", rack_sensor_off_period},
 };
 
 // ------------------------------------------------------------ digest file

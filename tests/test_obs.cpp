@@ -324,7 +324,7 @@ TEST(ObsManifest, CollectsAndSerializesValidJson) {
   EXPECT_FALSE(m.simd_dispatch.empty());
   m.threads = 4;
   m.seed = 99;
-  m.command = "fsc_room --racks 4 \"quoted\"";
+  m.command = "fsc --racks 4 \"quoted\"";
   const std::string json = m.to_json();
   EXPECT_TRUE(valid_json(json)) << json;
   EXPECT_NE(json.find("\"seed\": 99"), std::string::npos);

@@ -1,12 +1,12 @@
-// Rack + BatchRunner tests: spec stamping is reproducible and slot-local,
-// jitter stays in bounds, and the parallel batch runner is deterministic
-// under any thread count.
+// Rack tests: spec stamping is reproducible and slot-local, jitter stays in
+// bounds, and a rack run through the coupled engine aggregates its slots
+// and reports what it actually simulated.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 
-#include "rack/batch_runner.hpp"
+#include "coord/coupled_rack_engine.hpp"
 #include "rack/rack.hpp"
 
 namespace fsc {
@@ -95,92 +95,46 @@ TEST(Rack, ZeroJitterReproducesTheTemplateExactly) {
   }
 }
 
-TEST(BatchRunner, RejectsZeroThreads) {
-  EXPECT_THROW(BatchRunner(0), std::invalid_argument);
+/// The rack alone: no coordination, no plenum coupling.
+CoupledRackResult run_uncoupled(const RackParams& rack, std::size_t threads) {
+  CoupledRackParams p;
+  p.rack = rack;
+  p.plenum_enabled = false;
+  return CoupledRackEngine(p, threads).run();
 }
 
-TEST(BatchRunner, AggregatesAllServersInSlotOrder) {
-  const Rack rack(small_params());
-  const RackResult result = BatchRunner(2).run(rack);
-  ASSERT_EQ(result.size(), rack.size());
+TEST(RackRun, AggregatesAllServersInSlotOrder) {
+  const RackParams params = small_params();
+  const CoupledRackResult result = run_uncoupled(params, 2);
+  ASSERT_EQ(result.size(), params.num_servers);
   double fan_sum = 0.0;
-  for (std::size_t i = 0; i < result.servers.size(); ++i) {
-    EXPECT_EQ(result.servers[i].index, i);
-    EXPECT_GT(result.servers[i].result.cpu_energy_joules, 0.0);
-    fan_sum += result.servers[i].result.fan_energy_joules;
+  for (std::size_t i = 0; i < result.slots.size(); ++i) {
+    EXPECT_EQ(result.slots[i].index, i);
+    EXPECT_GT(result.slots[i].result.cpu_energy_joules, 0.0);
+    fan_sum += result.slots[i].result.fan_energy_joules;
   }
   EXPECT_DOUBLE_EQ(result.fan_energy_joules, fan_sum);
   EXPECT_DOUBLE_EQ(result.total_energy_joules,
                    result.fan_energy_joules + result.cpu_energy_joules);
-  EXPECT_EQ(result.duration_s, rack.params().sim.duration_s);
+  EXPECT_EQ(result.duration_s, params.sim.duration_s);
   EXPECT_FALSE(result.to_table().empty());
 }
 
-TEST(BatchRunner, ReportsActualSimulatedDuration) {
+TEST(RackRun, ReportsActualSimulatedDuration) {
   // A fractional duration rounds up to whole CPU periods inside the engine;
   // the rack aggregate must report what was actually simulated.
   RackParams p = small_params(2);
   p.sim.duration_s = 100.5;
   p.workload.base.duration_s = 101.0;
-  const RackResult result = BatchRunner(1).run(Rack(p));
+  const CoupledRackResult result = run_uncoupled(p, 1);
   EXPECT_EQ(result.duration_s, 101.0);
-  EXPECT_EQ(result.servers[0].duration_s, 101.0);
+  EXPECT_EQ(result.slots[0].duration_s, 101.0);
 }
 
-TEST(BatchRunner, DeterministicAcrossThreadCounts) {
-  // Same rack, 1 worker vs 4 workers: parallelism must change the wall
-  // clock only — every per-server number and every aggregate must be
-  // bit-identical.
-  const Rack rack(small_params(6));
-  const RackResult serial = BatchRunner(1).run(rack);
-  const RackResult parallel = BatchRunner(4).run(rack);
-
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial.servers[i].seed, parallel.servers[i].seed);
-    EXPECT_EQ(serial.servers[i].result.fan_energy_joules,
-              parallel.servers[i].result.fan_energy_joules);
-    EXPECT_EQ(serial.servers[i].result.cpu_energy_joules,
-              parallel.servers[i].result.cpu_energy_joules);
-    EXPECT_EQ(serial.servers[i].result.deadline_violation_percent,
-              parallel.servers[i].result.deadline_violation_percent);
-    EXPECT_EQ(serial.servers[i].result.max_junction_celsius,
-              parallel.servers[i].result.max_junction_celsius);
-  }
-  EXPECT_EQ(serial.fan_energy_joules, parallel.fan_energy_joules);
-  EXPECT_EQ(serial.cpu_energy_joules, parallel.cpu_energy_joules);
-  EXPECT_EQ(serial.deadline_violation_percent,
-            parallel.deadline_violation_percent);
-  EXPECT_EQ(serial.thermal_violation_percent,
-            parallel.thermal_violation_percent);
-  EXPECT_EQ(serial.max_junction_stats.mean(), parallel.max_junction_stats.mean());
-}
-
-TEST(BatchRunner, RepeatedRunsAreIdentical) {
-  const Rack rack(small_params());
-  const BatchRunner runner(2);
-  const RackResult first = runner.run(rack);
-  const RackResult second = runner.run(rack);
-  EXPECT_EQ(first.total_energy_joules, second.total_energy_joules);
-  EXPECT_EQ(first.deadline_violation_percent, second.deadline_violation_percent);
-}
-
-TEST(BatchRunner, RunServerMatchesBatchEntry) {
-  const Rack rack(small_params());
-  const RackResult batch = BatchRunner(2).run(rack);
-  const RackServerSummary solo = BatchRunner::run_server(
-      rack.server(1), rack.params().policy, rack.params().sim);
-  EXPECT_EQ(solo.result.fan_energy_joules,
-            batch.servers[1].result.fan_energy_joules);
-  EXPECT_EQ(solo.result.max_junction_celsius,
-            batch.servers[1].result.max_junction_celsius);
-}
-
-TEST(BatchRunner, UnknownPolicyPropagatesFromWorkers) {
+TEST(RackRun, UnknownPolicyThrows) {
   RackParams p = small_params();
   p.policy = "no-such-policy";
-  const Rack rack(p);
-  EXPECT_THROW(BatchRunner(2).run(rack), std::out_of_range);
+  EXPECT_THROW(run_uncoupled(p, 2), std::out_of_range);
 }
 
 }  // namespace

@@ -75,7 +75,6 @@ TEST(ScenarioSpec, BuildRackAppliesOverrides) {
   spec.rack_budget_watts = 750.0;
   spec.fan_zone = 5;
   spec.chunk = 2;
-  spec.batched = false;
   spec.plenum = false;
   spec.faults.events.push_back(
       {FaultKind::kSlotBlackout, 0, 1, 60.0, -1.0, 0.0});
@@ -88,7 +87,6 @@ TEST(ScenarioSpec, BuildRackAppliesOverrides) {
   EXPECT_DOUBLE_EQ(p.coord.rack_power_budget_watts, 750.0);
   EXPECT_EQ(p.coord.fan_zone_size, 5u);
   EXPECT_EQ(p.chunk, 2u);
-  EXPECT_FALSE(p.batched);
   EXPECT_FALSE(p.plenum_enabled);
   EXPECT_EQ(p.faults, spec.faults);
 }
@@ -152,8 +150,6 @@ ScenarioSpec fancy_spec() {
   spec.cross_plenum = false;
   spec.threads = 4;
   spec.chunk = 2;
-  spec.batched = false;
-  spec.executor = false;
   spec.simd = simd::SimdMode::kAuto;
   spec.trace_dir = "traces/";
   spec.faults.events.push_back(
@@ -180,6 +176,24 @@ TEST(ScenarioSpec, MissingKeysKeepDefaults) {
 TEST(ScenarioSpec, UnknownKeyThrows) {
   EXPECT_THROW(ScenarioSpec::from_json_text(R"({"slotz": 3})"),
                std::invalid_argument);
+}
+
+TEST(ScenarioSpec, RemovedExecutionKeysAreRejectedByName) {
+  // The execution path follows the input, so these former A/B switches
+  // are unknown keys now: a file that still sets one must fail, naming
+  // the key, rather than silently run something else.
+  for (const char* key : {"batched", "executor", "gather", "two_level"}) {
+    SCOPED_TRACE(key);
+    const std::string text = std::string("{\"") + key + "\": false}";
+    try {
+      (void)ScenarioSpec::from_json_text(text);
+      ADD_FAILURE() << "accepted the removed key";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioSpec, MalformedValuesThrow) {

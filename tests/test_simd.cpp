@@ -443,15 +443,6 @@ TEST(SimdRack, BitIdenticalAcrossChunksAndThreadsAtFixedWidth) {
   }
 }
 
-TEST(SimdRack, ExecutorOffIsAlsoBitIdentical) {
-  CoupledRackParams a = rack_params(SimdMode::kOn);
-  const CoupledRackResult with_executor = CoupledRackEngine(a, 2).run();
-  CoupledRackParams b = rack_params(SimdMode::kOn);
-  b.executor = false;
-  const CoupledRackResult with_pool = CoupledRackEngine(b, 2).run();
-  expect_identical(with_executor, with_pool);
-}
-
 RoomParams room_params(SimdMode mode) {
   RoomParams p = default_room_scenario(2, 77, 240.0);
   for (auto& rack : p.racks) rack.simd = mode;

@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "coord/coupled_rack_engine.hpp"
+#include "core/policy_factory.hpp"
+#include "sim/simulation.hpp"
 #include "workload/importers.hpp"
 #include "workload/trace_fit.hpp"
 #include "workload/trace_io.hpp"
@@ -389,6 +391,19 @@ void expect_identical(const CoupledRackResult& a, const CoupledRackResult& b) {
   EXPECT_EQ(a.deadline_violation_percent, b.deadline_violation_percent);
 }
 
+/// A workload that is not pre-sampled, forwarding every demand query to a
+/// wrapped one: a rack with such a lane cannot table its demand, so it
+/// resolves every lane through the per-lane Workload::demand path.
+class UntabledWorkload final : public Workload {
+ public:
+  explicit UntabledWorkload(std::shared_ptr<const Workload> inner)
+      : inner_(std::move(inner)) {}
+  double demand(double t) const override { return inner_->demand(t); }
+
+ private:
+  std::shared_ptr<const Workload> inner_;
+};
+
 CoupledRackParams pack_driven_params(
     const std::shared_ptr<const TraceStore>& store) {
   CoupledRackParams p;
@@ -402,8 +417,8 @@ CoupledRackParams pack_driven_params(
 }
 
 TEST(GatherPath, BitIdenticalToPerLaneAcrossThreadsAndChunks) {
-  // THE tentpole guarantee: gather on == gather off, exactly, for every
-  // thread count and chunk size, on a pack-driven rack.
+  // The gather guarantee: a tabled rack == the per-lane path, exactly,
+  // for every thread count and chunk size, on a pack-driven rack.
   const std::string path = temp_pack_path("engine.fst");
   TracePackWriter writer;
   std::mt19937_64 rng(21u);
@@ -418,14 +433,18 @@ TEST(GatherPath, BitIdenticalToPerLaneAcrossThreadsAndChunks) {
   writer.write(path);
   const auto store = TraceStore::open(path);
 
-  CoupledRackParams off = pack_driven_params(store);
-  off.gather = false;
-  const CoupledRackResult reference = CoupledRackEngine(off, 1).run();
+  // Reference: the same rack with one lane's trace behind a wrapper that
+  // cannot be tabled, which keeps the whole rack on the per-lane path.
+  CoupledRackParams per_lane = pack_driven_params(store);
+  ASSERT_TRUE(WorkloadTable().add_lane(*per_lane.rack.traces[0]));
+  per_lane.rack.traces[0] =
+      std::make_shared<const UntabledWorkload>(per_lane.rack.traces[0]);
+  ASSERT_FALSE(WorkloadTable().add_lane(*per_lane.rack.traces[0]));
+  const CoupledRackResult reference = CoupledRackEngine(per_lane, 1).run();
 
   for (std::size_t threads : {1u, 2u, 8u}) {
     for (std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {  // 0 = auto
       CoupledRackParams on = pack_driven_params(store);
-      on.gather = true;
       on.chunk = chunk;
       // snprintf, not string operator+: GCC 12's -Wrestrict false-fires on
       // the chained concatenation under -O2 (PR105651).
@@ -440,20 +459,32 @@ TEST(GatherPath, BitIdenticalToPerLaneAcrossThreadsAndChunks) {
 
 TEST(GatherPath, SyntheticWorkloadsAlsoGather) {
   // Default (synthetic) workloads are pre-sampled SampledWorkloads, so the
-  // table engages there too — and must stay invisible.
+  // table engages there too — and must stay invisible: an uncoupled rack
+  // matches each slot run alone through run_simulation, which asks the
+  // workload for its demand directly.
   CoupledRackParams p;
   p.rack.num_servers = 5;
   p.rack.base_seed = 7;
   p.rack.sim.duration_s = 90.0;
   p.coord.coordination_period_s = 30.0;
-  p.coordinator = "shared-fan-zone";
-  p.coord.fan_zone_size = 2;
+  p.plenum_enabled = false;
+  const CoupledRackResult rack = CoupledRackEngine(p, 4).run();
 
-  CoupledRackParams off = p;
-  off.gather = false;
-  const CoupledRackResult a = CoupledRackEngine(off, 1).run();
-  const CoupledRackResult b = CoupledRackEngine(p, 4).run();
-  expect_identical(a, b);
+  const Rack specs(p.rack);
+  ASSERT_EQ(rack.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const RackServerSpec& spec = specs.server(i);
+    Rng rng(spec.seed);
+    const auto workload = make_slot_workload(spec, rng);
+    ASSERT_TRUE(WorkloadTable().add_lane(*workload)) << i;
+    Server server(spec.server, spec.solution.initial_fan_rpm, rng);
+    const auto dtm = PolicyFactory::instance().make(p.rack.policy, spec.solution);
+    const SimulationResult alone =
+        run_simulation(server, *dtm, *workload, p.rack.sim);
+    EXPECT_EQ(rack.slots[i].result.fan_energy_joules, alone.fan_energy_joules);
+    EXPECT_EQ(rack.slots[i].result.cpu_energy_joules, alone.cpu_energy_joules);
+    EXPECT_EQ(rack.slots[i].deadline_violations, alone.deadline.violations());
+  }
 }
 
 // -------------------------------------------------------------- importers

@@ -103,12 +103,14 @@ PooledOutcome run_corpus(const std::string& coordinator,
   return out;
 }
 
-void BM_FaultedRack(benchmark::State& state, const std::string& coordinator) {
+void BM_FaultedRack(benchmark::State& state, const std::string& coordinator,
+                    bool faulted) {
   // Timing view: the fault layer's cost on one representative faulted
-  // scenario (the benefit enforcement below re-runs the whole corpus).
-  const auto plans = corpus();
-  const CoupledRackEngine engine(
-      scenario(coordinator, plans.front(), kCorpusSeed), bench_threads());
+  // scenario, next to its healthy twin — the same scenario with an empty
+  // plan (the benefit enforcement below re-runs the whole corpus).
+  const FaultPlan plan = faulted ? corpus().front() : FaultPlan{};
+  const CoupledRackEngine engine(scenario(coordinator, plan, kCorpusSeed),
+                                 bench_threads());
   CoupledRackResult last;
   for (auto _ : state) {
     last = engine.run();
@@ -119,10 +121,18 @@ void BM_FaultedRack(benchmark::State& state, const std::string& coordinator) {
   state.counters["ddl_viol_pct"] = last.deadline_violation_percent;
   state.counters["total_kj"] = last.total_energy_joules / 1000.0;
 }
-BENCHMARK_CAPTURE(BM_FaultedRack, naive, std::string("shared-fan-zone"))
+BENCHMARK_CAPTURE(BM_FaultedRack, naive, std::string("shared-fan-zone"), true)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK_CAPTURE(BM_FaultedRack, failsafe, std::string("failsafe"))
+BENCHMARK_CAPTURE(BM_FaultedRack, failsafe, std::string("failsafe"), true)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_FaultedRack, healthy_naive,
+                  std::string("shared-fan-zone"), false)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_FaultedRack, healthy_failsafe, std::string("failsafe"),
+                  false)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "batch/plant_kernel.hpp"
 #include "util/units.hpp"
@@ -22,25 +23,28 @@ void FanActuator::command(double rpm) noexcept {
 
 void FanActuator::step(double dt) {
   require(dt >= 0.0, "FanActuator: dt must be >= 0");
+  // No time, no motion — and a seized drive's infinite slew times zero
+  // would be NaN.
+  if (dt == 0.0) return;
+  const FanDrive d = drive();
+  actual_rpm_ =
+      plant::slew_toward(actual_rpm_, d.target_rpm, d.slew_rpm_per_s * dt);
+}
+
+FanDrive FanActuator::drive() const noexcept {
   switch (fault_mode_) {
-    case FanFaultMode::kNone:
-      actual_rpm_ = plant::slew_toward(actual_rpm_, commanded_rpm_,
-                                       params_.slew_rpm_per_s * dt);
-      return;
-    case FanFaultMode::kDegradedMax: {
+    case FanFaultMode::kDegradedMax:
       // The drive still slews toward the command, but the rotor tops out
       // at the degraded ceiling.
-      const double target = std::min(commanded_rpm_, fault_value_);
-      actual_rpm_ =
-          plant::slew_toward(actual_rpm_, target, params_.slew_rpm_per_s * dt);
-      return;
-    }
+      return {std::min(commanded_rpm_, fault_value_), params_.slew_rpm_per_s};
     case FanFaultMode::kSeized:
       // Jammed: commands are ignored; the blades only windmill.
-      actual_rpm_ =
-          fault_value_ > 0.0 ? fault_value_ : kDefaultSeizedRpm;
-      return;
+      return {fault_value_ > 0.0 ? fault_value_ : kDefaultSeizedRpm,
+              std::numeric_limits<double>::infinity()};
+    case FanFaultMode::kNone:
+      break;
   }
+  return {commanded_rpm_, params_.slew_rpm_per_s};
 }
 
 void FanActuator::set_fault(FanFaultMode mode, double value) {

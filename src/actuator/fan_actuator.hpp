@@ -16,6 +16,13 @@ enum class FanFaultMode {
   kSeized,       ///< rotor jammed: blades only windmill in the airflow
 };
 
+/// The two inputs of the actuator's slew (plant::slew_toward): the speed
+/// the rotor is driven toward and the rate it may move at.
+struct FanDrive {
+  double target_rpm;
+  double slew_rpm_per_s;
+};
+
 /// Physical fan speed limits and dynamics.
 struct FanParams {
   /// Server fans cannot run below ~18 % duty while the machine is on; at
@@ -41,18 +48,27 @@ class FanActuator {
   /// Set the commanded speed (clamped into [min, max]).
   void command(double rpm) noexcept;
 
-  /// Advance the actuator by dt seconds.  Throws std::invalid_argument when
-  /// dt < 0.
+  /// Advance the actuator by dt seconds: one slew toward drive().  Throws
+  /// std::invalid_argument when dt < 0.
   void step(double dt);
+
+  /// What the rotor is driven toward under the current fault mode:
+  ///   healthy   the command, at the nominal slew;
+  ///   degraded  min(command, ceiling), at the nominal slew;
+  ///   seized    the windmill speed, at infinite slew — slew_toward lands
+  ///             on it exactly in any step with dt > 0.
+  /// A fault target may lie below min_rpm.  The batched engines feed this
+  /// drive to their SoA kernel once per control period (ServerBatch::
+  /// set_inputs), so a faulted fan slews there exactly as step() does.
+  FanDrive drive() const noexcept;
 
   /// The speed the blades are actually spinning at.
   double speed() const noexcept { return actual_rpm_; }
 
   /// Overwrite the actual speed without slewing.  Batched-stepping
   /// write-back hook: the SoA kernel advances the slew in its own arrays
-  /// (same plant::slew_toward expression) and mirrors the result here.
-  /// Precondition: `rpm` came from that kernel, so it is already inside
-  /// the [min, max] envelope.
+  /// (same plant::slew_toward expression over drive()) and mirrors the
+  /// result here.  Precondition: `rpm` came from that kernel.
   void adopt_speed(double rpm) noexcept { actual_rpm_ = rpm; }
 
   /// The most recent commanded speed.

@@ -1,7 +1,6 @@
 #include "batch/rack_stepper.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "sim/instrumentation.hpp"
 #include "sim/server.hpp"
@@ -36,16 +35,8 @@ void RackBatchStepper::add_slot(SimulationEngine::Session& session,
             "observes_physics_steps() == false");
   }
   slots_.push_back(Slot{&session, &server});
-  scalar_.push_back(0);
   batch_.add_server(server);
   accounts_.add_lane(server, thermal);
-}
-
-void RackBatchStepper::force_scalar(std::size_t slot) {
-  require(slot < slots_.size(),
-          "RackBatchStepper::force_scalar: slot index out of range");
-  scalar_[slot] = 1;
-  any_scalar_ = true;
 }
 
 void RackBatchStepper::set_workload_table(const WorkloadTable* table) {
@@ -82,8 +73,7 @@ bool RackBatchStepper::open_period(std::size_t i, bool gathered) {
                              : slot.session->begin_period();
   if (!open) return false;
   batch_.set_inputs(i, slot.server->cpu_power_now(slot.session->period_executed()),
-                    slot.server->fan_speed_commanded(),
-                    slot.server->inlet_temperature());
+                    slot.server->fan_drive(), slot.server->inlet_temperature());
   accounts_.load(i);
   return true;
 }
@@ -96,14 +86,6 @@ void RackBatchStepper::close_period(std::size_t i) {
 
 void RackBatchStepper::advance_range_periods(std::size_t lo, std::size_t hi,
                                              long periods) {
-  if (any_scalar_) {
-    // Some lane somewhere is fault-forced onto the scalar path; take the
-    // masked variant.  Until the first force_scalar() call this branch is
-    // never reached and the body below is exactly the pre-fault stepping
-    // code (the empty-FaultPlan bit-identity contract, test_fault).
-    advance_range_periods_masked(lo, hi, periods);
-    return;
-  }
   const double dt = slots_.front().session->params().physics_dt_s;
   const long substeps = slots_.front().session->physics_per_period();
 
@@ -131,65 +113,6 @@ void RackBatchStepper::advance_range_periods(std::size_t lo, std::size_t hi,
     // Phase 3 — write back and close the period on every opened slot.
     for (std::size_t i = lo; i < hi; ++i) {
       if (accounts_.loaded(i)) close_period(i);
-    }
-  }
-}
-
-void RackBatchStepper::advance_range_periods_masked(std::size_t lo,
-                                                    std::size_t hi,
-                                                    long periods) {
-  const double dt = slots_.front().session->params().physics_dt_s;
-  const long substeps = slots_.front().session->physics_per_period();
-
-  // Maximal runs of non-forced lanes inside [lo, hi): the SoA kernel steps
-  // each run contiguously, never touching a forced lane's (stale) batch
-  // state.  The mask only changes at coordination barriers, so one
-  // segmentation serves every period of this call.
-  std::vector<std::pair<std::size_t, std::size_t>> segments;
-  for (std::size_t i = lo; i < hi;) {
-    if (scalar_[i]) {
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < hi && !scalar_[j]) ++j;
-    segments.emplace_back(i, j);
-    i = j;
-  }
-
-  for (long p = 0; p < periods; ++p) {
-    // Forced lanes first: one whole period through the scalar reference
-    // path (slots never interact inside a period, so relative order
-    // against the batched lanes is free).
-    bool any_forced_active = false;
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (!scalar_[i] || slots_[i].session->done()) continue;
-      slots_[i].session->step_period();
-      any_forced_active = true;
-    }
-
-    // Batched lanes: the same three phases as the unmasked path, over the
-    // non-forced sub-ranges.
-    bool any_batched_active = false;
-    for (const auto& [a, b] : segments) {
-      for (std::size_t i = a; i < b; ++i) {
-        any_batched_active |= open_period(i, false);
-      }
-    }
-    if (!any_batched_active && !any_forced_active) return;  // range is done
-
-    if (any_batched_active) {
-      for (long s = 0; s < substeps; ++s) {
-        for (const auto& [a, b] : segments) {
-          batch_.step_range(a, b, dt);
-          accounts_.account_range(batch_, a, b, dt);
-        }
-      }
-      for (const auto& [a, b] : segments) {
-        for (std::size_t i = a; i < b; ++i) {
-          if (accounts_.loaded(i)) close_period(i);
-        }
-      }
     }
   }
 }

@@ -7,8 +7,8 @@
 //   1. every slot's begin_period() in slot order (policy decision, fan
 //      command, workload resolution) — control stays per-entity; then the
 //      per-slot inputs are gathered ONCE into the SoA kernel (CPU power at
-//      the period's executed utilization, the clamped fan command, the
-//      current inlet temperature) and the slot's accounting lanes are
+//      the period's executed utilization, the fan's drive target and slew,
+//      the current inlet temperature) and the slot's accounting lanes are
 //      loaded from its Server and ThermalViolationSink;
 //   2. each physics substep is one ServerBatch::step_range over the slots
 //      followed by one fused LaneAccounting::account_range pass (energy,
@@ -28,6 +28,12 @@
 // phase 3 writes everything back, the Servers and sinks are exact at every
 // period boundary: policies, coordinators, observations, snapshots, fault
 // arming and finish() see what the scalar path shows them.
+//
+// Faults: a faulted lane stays in the batch.  A fan fault changes only
+// the drive gathered in phase 1 (Server::fan_drive); a sensor fault acts in
+// the sensor's own cold sample path, which phase 2 already calls.  The
+// fault layer arms both at coordination barriers, between advance calls,
+// so the stepper never needs to know a lane is faulted.
 //
 // Sinks: a session's sinks get no on_physics_step on this path.
 // add_slot() therefore accepts only sinks that do not observe physics
@@ -112,8 +118,7 @@ class RackBatchStepper {
   /// slot order, built from the same workload objects the sessions hold —
   /// then the gathered values are bit-identical to the per-lane calls by
   /// construction.  Borrowed; null (the default) keeps the classic path.
-  /// Set before prepare().  Fault-forced scalar lanes always use the
-  /// classic path regardless.
+  /// Set before prepare().
   void set_workload_table(const WorkloadTable* table);
   const WorkloadTable* workload_table() const noexcept { return table_; }
 
@@ -133,20 +138,6 @@ class RackBatchStepper {
   /// std::invalid_argument on a bad chunk index.
   void advance_chunk_periods(std::size_t chunk, long periods);
 
-  /// Permanently route `slot` through the scalar reference path
-  /// (Session::step_period) instead of the SoA kernel: the fault layer
-  /// calls this when a slot's plant stops matching the batch's healthy-
-  /// hardware expressions (fan fault, faulted sensor).  Monotonic — a
-  /// faulted lane never resynchronises with the batch, because the batch
-  /// arrays hold state the scalar path has since diverged from.  Must only
-  /// be called between advance waves (at a coordination barrier); throws
-  /// std::invalid_argument on a bad index.  While no slot is forced the
-  /// stepping code path is exactly the mask-free one.
-  void force_scalar(std::size_t slot);
-  bool is_scalar(std::size_t slot) const {
-    return slot < scalar_.size() && scalar_[slot] != 0;
-  }
-
  private:
   struct Slot {
     SimulationEngine::Session* session = nullptr;
@@ -154,11 +145,6 @@ class RackBatchStepper {
   };
 
   void advance_range_periods(std::size_t lo, std::size_t hi, long periods);
-  /// The fault-era variant: scalar-forced lanes step through their own
-  /// Session, the rest through the SoA kernel over the maximal non-forced
-  /// sub-ranges.  Only reached once force_scalar() has been called.
-  void advance_range_periods_masked(std::size_t lo, std::size_t hi,
-                                    long periods);
 
   /// Phase 1 for lane i: open the session's period and, when it opened,
   /// gather the kernel inputs and load the accounting lanes.
@@ -167,8 +153,6 @@ class RackBatchStepper {
   void close_period(std::size_t i);
 
   std::vector<Slot> slots_;
-  std::vector<char> scalar_;  ///< lanes forced onto the scalar path
-  bool any_scalar_ = false;
   ServerBatch batch_;
   /// Per-substep accounting; its loaded() flag marks the lanes that opened
   /// a period on the batched path.

@@ -46,9 +46,18 @@ std::size_t ServerBatch::add_server(const Server& server) {
 void ServerBatch::set_inputs(std::size_t i, double cpu_watts,
                              double fan_cmd_rpm, double inlet_celsius) {
   require(i < size(), "ServerBatch::set_inputs: slot index out of range");
+  const FanDrive fan{clamp(fan_cmd_rpm, fan_min_[i], fan_max_[i]),
+                     fan_slew_[i]};
+  set_inputs(i, cpu_watts, fan, inlet_celsius);
+}
+
+void ServerBatch::set_inputs(std::size_t i, double cpu_watts, FanDrive fan,
+                             double inlet_celsius) {
+  require(i < size(), "ServerBatch::set_inputs: slot index out of range");
   require(cpu_watts >= 0.0, "ServerBatch::set_inputs: power must be >= 0");
   cpu_watts_[i] = cpu_watts;
-  fan_cmd_[i] = clamp(fan_cmd_rpm, fan_min_[i], fan_max_[i]);
+  fan_cmd_[i] = fan.target_rpm;
+  fan_slew_[i] = fan.slew_rpm_per_s;
   ambient_[i] = inlet_celsius;
 }
 

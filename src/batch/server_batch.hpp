@@ -6,10 +6,12 @@
 // Data layout: one flat double array per quantity (heat-sink temperature,
 // junction temperature, actual fan speed, ...) indexed by slot, plus one
 // array per closed-form coefficient (Rhs power-law terms, capacitance, die
-// resistance/time-constant, fan power-law and slew limits) gathered once
+// resistance/time-constant, fan power-law and envelope) gathered once
 // from each Server at add_server().  Per-control-period inputs (CPU power,
-// fan command, inlet temperature) are gathered once per period via
-// set_inputs(); step_all(dt) then advances every lane.
+// the fan's drive target and slew, inlet temperature) are gathered once
+// per period via set_inputs(); step_all(dt) then advances every lane.  A
+// fan fault is nothing but a different drive (FanActuator::drive), so
+// faulted lanes share the same loop as healthy ones.
 //
 // Bit-identity with the scalar path (Server::step) is by construction, not
 // by tolerance:
@@ -45,6 +47,7 @@
 #include <optional>
 #include <vector>
 
+#include "actuator/fan_actuator.hpp"
 #include "batch/simd/dispatch.hpp"
 #include "obs/metrics.hpp"
 #include "util/lane_vector.hpp"
@@ -67,9 +70,17 @@ class ServerBatch {
   /// Per-control-period input gather for one slot: the (constant within
   /// the period) CPU power, the commanded fan speed, and the inlet air
   /// temperature.  The command is clamped into the slot's fan envelope
-  /// exactly like FanActuator::command.  Throws std::invalid_argument on a
-  /// bad index or negative power.
+  /// exactly like FanActuator::command; the lane keeps its last slew.
+  /// Throws std::invalid_argument on a bad index or negative power.
   void set_inputs(std::size_t i, double cpu_watts, double fan_cmd_rpm,
+                  double inlet_celsius);
+  /// The same gather with the fan given as the actuator's drive
+  /// (FanActuator::drive), taken as is: a faulted fan's target may lie
+  /// below min_rpm, and a seized one's infinite slew lands the lane on its
+  /// windmill speed in the next substep.  This is how the kernel models
+  /// fan faults — per lane, with no mask and no branch.  Throws like
+  /// set_inputs above.
+  void set_inputs(std::size_t i, double cpu_watts, FanDrive fan,
                   double inlet_celsius);
 
   /// Advance every slot by one physics substep of `dt` seconds.  Throws
@@ -170,12 +181,13 @@ class ServerBatch {
   LaneVector<double> heat_sink_;
   LaneVector<double> junction_;
   LaneVector<double> fan_actual_;
-  LaneVector<double> fan_cmd_;
+  LaneVector<double> fan_cmd_;     ///< per-period input: drive target
   LaneVector<double> cpu_watts_;   ///< per-period input
   LaneVector<double> fan_watts_;   ///< per-substep output
   LaneVector<double> ambient_;     ///< per-period input
 
-  // Closed-form coefficients (constant after add_server).
+  // Closed-form coefficients (constant after add_server; fan_slew_ is
+  // the nominal slew until a drive overrides it).
   LaneVector<double> r_base_;
   LaneVector<double> r_coeff_;
   LaneVector<double> r_exp_;
@@ -184,7 +196,7 @@ class ServerBatch {
   LaneVector<double> tau_die_;
   LaneVector<double> fan_min_;
   LaneVector<double> fan_max_;
-  LaneVector<double> fan_slew_;
+  LaneVector<double> fan_slew_;  ///< per-period input: drive slew
   LaneVector<double> fan_pmax_;
   LaneVector<double> fan_smax_;
 

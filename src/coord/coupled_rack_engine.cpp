@@ -163,7 +163,7 @@ struct CoupledRackEngine::Session::Impl {
       servers.reserve(slots.size());
       for (const auto& rt : slots) servers.push_back(&rt->server);
       injector = std::make_unique<FaultInjector>(
-          params.faults, std::move(servers), &stepper, params.obs);
+          params.faults, std::move(servers), params.obs);
       // Arm anything scheduled at t = 0 before the first period steps, so a
       // from-the-start fault shapes the whole run.
       injector->advance(0.0);

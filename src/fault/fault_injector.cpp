@@ -2,20 +2,17 @@
 
 #include <utility>
 
-#include "batch/rack_stepper.hpp"
 #include "sim/server.hpp"
 #include "util/units.hpp"
 
 namespace fsc {
 
 FaultInjector::FaultInjector(FaultPlan plan, std::vector<Server*> servers,
-                             RackBatchStepper* stepper,
                              const obs::Telemetry& obs)
     : plan_(std::move(plan)),
       servers_(std::move(servers)),
-      stepper_(stepper),
       states_(plan_.size(), EventState::kPending),
-      forced_scalar_(servers_.size(), 0),
+      dropped_(servers_.size(), 0),
       blacked_out_(servers_.size(), 0),
       last_good_(servers_.size()),
       have_last_good_(servers_.size(), 0) {
@@ -37,16 +34,6 @@ FaultInjector::FaultInjector(FaultPlan plan, std::vector<Server*> servers,
 
 bool FaultInjector::slot_blacked_out(std::size_t slot) const {
   return slot < blacked_out_.size() && blacked_out_[slot] != 0;
-}
-
-bool FaultInjector::slot_forced_scalar(std::size_t slot) const {
-  return slot < forced_scalar_.size() && forced_scalar_[slot] != 0;
-}
-
-void FaultInjector::force_scalar(std::size_t slot) {
-  if (forced_scalar_[slot]) return;
-  forced_scalar_[slot] = 1;
-  if (stepper_ != nullptr) stepper_->force_scalar(slot);
 }
 
 void FaultInjector::note_transition(const FaultEvent& e, bool armed,
@@ -71,14 +58,18 @@ void FaultInjector::apply_slot_state(std::size_t slot) {
   // events resolve the same way no matter which arm/clear came first.
   const FaultEvent* sensor = nullptr;
   const FaultEvent* fan = nullptr;
+  bool dropped = false;
   bool blackout = false;
   for (std::size_t i = 0; i < plan_.events.size(); ++i) {
     if (states_[i] != EventState::kActive) continue;
     const FaultEvent& e = plan_.events[i];
     if (e.slot != slot) continue;
     switch (e.kind) {
-      case FaultKind::kSensorStuck:
       case FaultKind::kSensorDropped:
+        dropped = true;
+        sensor = &e;
+        break;
+      case FaultKind::kSensorStuck:
       case FaultKind::kSensorNoisy:
         sensor = &e;
         break;
@@ -106,7 +97,6 @@ void FaultInjector::apply_slot_state(std::size_t slot) {
         break;
       default: break;
     }
-    force_scalar(slot);
   } else {
     server.clear_sensor_fault();
   }
@@ -115,10 +105,10 @@ void FaultInjector::apply_slot_state(std::size_t slot) {
                              ? FanFaultMode::kSeized
                              : FanFaultMode::kDegradedMax,
                          fan->value);
-    force_scalar(slot);
   } else {
     server.clear_fan_fault();
   }
+  dropped_[slot] = dropped ? 1 : 0;
   const bool was_blacked = blacked_out_[slot] != 0;
   blacked_out_[slot] = blackout ? 1 : 0;
   if (was_blacked && !blackout) {
@@ -157,16 +147,6 @@ void FaultInjector::stamp(std::vector<SlotObservation>& observations,
                           double time_s) {
   require(observations.size() == servers_.size(),
           "FaultInjector: observation count mismatch");
-  // Which slots currently have an undelivered-sample (dropped) fault: the
-  // staleness monitor trips exactly while one is active.
-  std::vector<char> dropped(servers_.size(), 0);
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    if (states_[i] != EventState::kActive) continue;
-    if (plan_.events[i].kind == FaultKind::kSensorDropped) {
-      dropped[plan_.events[i].slot] = 1;
-    }
-  }
-
   for (std::size_t s = 0; s < observations.size(); ++s) {
     SlotObservation& o = observations[s];
     if (blacked_out_[s]) {
@@ -181,7 +161,7 @@ void FaultInjector::stamp(std::vector<SlotObservation>& observations,
       o.telemetry_ok = false;
       continue;
     }
-    o.sensor_ok = dropped[s] == 0;
+    o.sensor_ok = dropped_[s] == 0;
     o.telemetry_ok = true;
     last_good_[s] = o;
     have_last_good_[s] = 1;

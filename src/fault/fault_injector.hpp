@@ -10,9 +10,10 @@
 // threads x chunks and EXPECT_EQs the trajectories).
 //
 // Plant-level faults (sensor, fan) are forwarded to the victim Server's
-// components and the slot's batch lane is permanently forced onto the
-// scalar reference path (RackBatchStepper::force_scalar) — the SoA arrays
-// model healthy hardware only, and a forced lane never resynchronises.
+// components and nothing else: the slot stays in its rack's SoA batch,
+// which reads a fan fault as the lane's drive (Server::fan_drive) and runs
+// a sensor fault through the sensor's own sample path.  A cleared fault
+// hands the lane straight back to the healthy drive.
 // Slot-telemetry blackouts never touch the plant: the slot keeps running
 // and only the coordinator's view is frozen (telemetry_ok = false, fields
 // held at the last observation that got out).
@@ -33,7 +34,6 @@
 namespace fsc {
 
 class Server;
-class RackBatchStepper;
 
 /// Per-session fault driver.  Not thread-safe: advance() and stamp() must
 /// run on the barrier thread (the engine guarantees that).
@@ -41,10 +41,9 @@ class FaultInjector {
  public:
   /// `plan` must be rack-local (every event rack == 0) and is validated
   /// against `servers.size()`.  `servers` are borrowed, one per slot in
-  /// slot order; `stepper` may be null (scalar execution path — nothing to
-  /// force).  Telemetry is observational only.
+  /// slot order.  Telemetry is observational only.
   FaultInjector(FaultPlan plan, std::vector<Server*> servers,
-                RackBatchStepper* stepper, const obs::Telemetry& obs);
+                const obs::Telemetry& obs);
 
   /// Arm every event with start_s <= `time_s`, clear every non-permanent
   /// armed event whose window has passed.  Monotonic in `time_s`;
@@ -59,23 +58,22 @@ class FaultInjector {
   std::size_t events_armed() const noexcept { return events_armed_; }
   std::size_t events_cleared() const noexcept { return events_cleared_; }
   bool slot_blacked_out(std::size_t slot) const;
-  bool slot_forced_scalar(std::size_t slot) const;
 
  private:
   enum class EventState { kPending, kActive, kDone };
 
-  /// Recompute the victim's component fault state from every active event
-  /// (plan order, last writer wins) — order-independent under overlapping
-  /// arms/clears.
+  /// Recompute the victim's component fault state and detectability flags
+  /// from every active event (plan order, last writer wins) —
+  /// order-independent under overlapping arms/clears.
   void apply_slot_state(std::size_t slot);
-  void force_scalar(std::size_t slot);
   void note_transition(const FaultEvent& e, bool armed, double time_s);
 
   FaultPlan plan_;
   std::vector<Server*> servers_;
-  RackBatchStepper* stepper_ = nullptr;
   std::vector<EventState> states_;
-  std::vector<char> forced_scalar_;
+  /// Slots with an active dropped-sensor event: the staleness monitor
+  /// trips exactly while one is armed.
+  std::vector<char> dropped_;
   std::vector<char> blacked_out_;
   std::vector<SlotObservation> last_good_;
   std::vector<char> have_last_good_;

@@ -86,23 +86,37 @@ FaultPlan FaultPlan::from_json_text(const std::string& text) {
     throw std::invalid_argument("FaultPlan: expected a JSON array of events");
   }
   FaultPlan out;
-  for (const json::Value& o : doc.elements()) {
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    const json::Value& o = doc.at(i);
+    const std::string where = "FaultPlan: event " + std::to_string(i);
     if (!o.is_object()) {
-      throw std::invalid_argument("FaultPlan: each event must be an object");
+      throw std::invalid_argument(where + " must be an object");
+    }
+    if (!o.contains("kind")) {
+      throw std::invalid_argument(where + ": missing key 'kind'");
     }
     FaultEvent e;
-    e.kind = fault_kind_from_string(o.at("kind").as_string());
-    if (const json::Value* v = o.find("rack")) {
-      e.rack = static_cast<std::size_t>(v->as_number());
+    for (const auto& [key, v] : o.members()) {
+      try {
+        if (key == "kind") {
+          e.kind = fault_kind_from_string(v.as_string());
+        } else if (key == "rack") {
+          e.rack = v.as_index();
+        } else if (key == "slot") {
+          e.slot = v.as_index();
+        } else if (key == "start_s") {
+          e.start_s = v.as_finite();
+        } else if (key == "duration_s") {
+          e.duration_s = v.as_finite();
+        } else if (key == "value") {
+          e.value = v.as_finite();
+        } else {
+          throw std::invalid_argument("unknown key");
+        }
+      } catch (const std::invalid_argument& err) {
+        throw std::invalid_argument(where + " key '" + key + "': " + err.what());
+      }
     }
-    if (const json::Value* v = o.find("slot")) {
-      e.slot = static_cast<std::size_t>(v->as_number());
-    }
-    if (const json::Value* v = o.find("start_s")) e.start_s = v->as_number();
-    if (const json::Value* v = o.find("duration_s")) {
-      e.duration_s = v->as_number();
-    }
-    if (const json::Value* v = o.find("value")) e.value = v->as_number();
     out.events.push_back(e);
   }
   return out;

@@ -76,8 +76,10 @@ struct FaultPlan {
 
   /// JSON array of event objects (the "faults" key of a scenario file).
   std::string to_json(int indent = 0) const;
-  /// Parse the array form to_json emits.  Throws std::invalid_argument on
-  /// malformed input.
+  /// Parse the array form to_json emits.  Throws std::invalid_argument,
+  /// naming the event index and key, on malformed input: an unknown or
+  /// missing key, a rack/slot that is not a non-negative integer in
+  /// std::size_t range, or a non-finite start_s/duration_s/value.
   static FaultPlan from_json_text(const std::string& text);
 
   bool operator==(const FaultPlan&) const = default;

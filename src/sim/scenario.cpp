@@ -196,12 +196,12 @@ std::string ScenarioSpec::to_json(int indent) const {
 namespace {
 
 std::size_t as_index(const json::Value& v, const char* key) {
-  const double d = v.as_number();
-  if (d < 0.0 || d != static_cast<double>(static_cast<std::size_t>(d))) {
+  try {
+    return v.as_index();
+  } catch (const std::invalid_argument&) {
     throw std::invalid_argument(std::string("ScenarioSpec: '") + key +
                                 "' must be a non-negative integer");
   }
-  return static_cast<std::size_t>(d);
 }
 
 }  // namespace

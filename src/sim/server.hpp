@@ -83,6 +83,9 @@ class Server {
   /// Actuator state.
   double fan_speed_actual() const noexcept { return actuator_.speed(); }
   double fan_speed_commanded() const noexcept { return actuator_.commanded(); }
+  /// Target and slew the actuator moves by under its fault mode
+  /// (FanActuator::drive) — the batched kernel's per-period fan input.
+  FanDrive fan_drive() const noexcept { return actuator_.drive(); }
 
   /// Shared-plenum coupling: retarget the heat-sink inlet air temperature
   /// mid-run (one server's exhaust preheating its neighbors' intake).  The
@@ -107,9 +110,10 @@ class Server {
   void reset_energy() noexcept { energy_.reset(); }
 
   /// Fault forwarding (fault/fault_injector.hpp arms these at coordination
-  /// barriers).  Faulted components change only their own behavior — the
-  /// injector is responsible for routing faulted slots off the batched
-  /// plant path, whose SoA arrays know nothing of faults.
+  /// barriers).  Faulted components change only their own behavior, and
+  /// the batched path sees both through the Server: a sensor fault acts in
+  /// SensorChain::take_sample, which the lane accounting calls at sample
+  /// instants, and a fan fault is the fan_drive() the kernel slews by.
   void set_sensor_fault(SensorFaultMode mode, double value) {
     sensor_.set_fault(mode, value);
   }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -313,6 +314,23 @@ bool Value::as_bool() const {
 double Value::as_number() const {
   if (type_ != Type::kNumber) throw std::invalid_argument("json: not a number");
   return number_;
+}
+
+double Value::as_finite() const {
+  const double d = as_number();
+  if (!std::isfinite(d)) throw std::invalid_argument("json: not a finite number");
+  return d;
+}
+
+std::size_t Value::as_index() const {
+  const double d = as_number();
+  // 2^digits is exact in a double; NaN fails the first comparison.
+  const double limit =
+      std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
+  if (!(d >= 0.0 && d < limit && std::trunc(d) == d)) {
+    throw std::invalid_argument("json: not a non-negative integer index");
+  }
+  return static_cast<std::size_t>(d);
 }
 
 const std::string& Value::as_string() const {

@@ -47,6 +47,12 @@ class Value {
 
   bool as_bool() const;
   double as_number() const;
+  /// The number as a finite double; throws on NaN or infinity too.
+  double as_finite() const;
+  /// The number as a std::size_t; throws unless it is a non-negative
+  /// integer that std::size_t holds exactly.  The range is checked before
+  /// the cast, which would be undefined past it (1e300).
+  std::size_t as_index() const;
   const std::string& as_string() const;
 
   /// Array element access; throws std::out_of_range on a bad index.

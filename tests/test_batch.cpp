@@ -7,10 +7,10 @@
 //     the same plant_kernel.hpp expressions);
 //   * RackBatchStepper's lane accounting (sensor phase, energy, junction
 //     statistics) against per-slot scalar Session::step_period, at every
-//     period boundary, across chunk widths, thread counts and a
-//     mid-run force_scalar, under the per-period fan overrides, cap
-//     limits, demand scales and inlet changes a coordinator and a room
-//     impose between periods;
+//     period boundary, across chunk widths and thread counts, under the
+//     per-period fan overrides, cap limits, demand scales and inlet
+//     changes a coordinator and a room impose between periods, and under
+//     every sensor and fan fault kind armed and cleared at barriers;
 //   * a full coupled rack run and a full scheduled room across chunk
 //     widths and thread counts, against a 1-thread whole-rack-chunk run.
 //
@@ -318,6 +318,7 @@ struct LaneState {
   RunningStats::State junction;
   double violation_s;
   double measured_c;
+  double fan_rpm;
 };
 
 LaneState lane_state(const LaneSlot& slot) {
@@ -327,7 +328,8 @@ LaneState lane_state(const LaneSlot& slot) {
           e.elapsed(),
           slot.thermal.junction_stats().state(),
           slot.thermal.violation_time_s(),
-          slot.server.measured_temp()};
+          slot.server.measured_temp(),
+          slot.server.fan_speed_actual()};
 }
 
 void expect_same_lane(const LaneState& want, const LaneState& got) {
@@ -342,12 +344,11 @@ void expect_same_lane(const LaneState& want, const LaneState& got) {
   EXPECT_EQ(want.junction.max, got.junction.max);
   EXPECT_EQ(want.violation_s, got.violation_s);
   EXPECT_EQ(want.measured_c, got.measured_c);
+  EXPECT_EQ(want.fan_rpm, got.fan_rpm);
 }
 
 constexpr std::size_t kLaneSlots = 10;
 constexpr long kLanePeriods = 90;
-constexpr long kForcePeriod = 40;    ///< force_scalar(kForcedSlot) here
-constexpr std::size_t kForcedSlot = 4;
 
 /// A 10-slot rack whose sensors are noisy (every sample draws from the
 /// slot's Rng) and sampled on a period that is not a multiple of dt, with
@@ -361,11 +362,41 @@ RackParams lane_rack() {
   return rack;
 }
 
+/// What the fault injector changes at a barrier, as a pure function of
+/// (period, slot): every fan fault kind — a degraded ceiling above and
+/// below min_rpm, a seized rotor windmilling above min_rpm and at the
+/// default speed — and every sensor fault kind, each armed and cleared.
+void steer_faults(long period, std::size_t slot, Server& server) {
+  const bool odd = slot % 2 != 0;
+  switch ((period + 4 * static_cast<long>(slot)) % 30) {
+    case 3:
+      server.set_fan_fault(FanFaultMode::kDegradedMax, odd ? 2200.0 : 1200.0);
+      break;
+    case 14:
+      server.set_fan_fault(FanFaultMode::kSeized, odd ? 2500.0 : 0.0);
+      break;
+    case 10:
+    case 21:
+      server.clear_fan_fault();
+      break;
+    default: break;
+  }
+  switch ((period + 7 * static_cast<long>(slot)) % 30) {
+    case 2: server.set_sensor_fault(SensorFaultMode::kStuck, 55.0); break;
+    case 8: server.set_sensor_fault(SensorFaultMode::kDropped, 0.0); break;
+    case 14: server.set_sensor_fault(SensorFaultMode::kNoisy, 1.5); break;
+    case 20: server.clear_sensor_fault(); break;
+    default: break;
+  }
+}
+
 /// What coordinate_round and the room change between periods, as a pure
 /// function of (period, slot): fan overrides set and cleared, cap limits,
-/// demand scales and inlet retargets.  The reference and the stepper run
-/// apply exactly the same steering at the same barrier.
+/// demand scales, inlet retargets and fault transitions.  The reference
+/// and the stepper run apply exactly the same steering at the same
+/// barrier.
 void steer(long period, std::size_t slot, LaneSlot& lane) {
+  steer_faults(period, slot, lane.server);
   SimulationEngine::Session& s = *lane.session;
   const long phase = period + static_cast<long>(slot);
   if (phase % 5 == 0) {
@@ -398,6 +429,7 @@ TEST(LaneAccounting, StepperMatchesScalarSessionsEveryPeriod) {
 
   // Reference: every slot through the scalar Session::step_period.
   std::vector<std::vector<LaneState>> want(kLanePeriods);
+  bool below_floor = false;  // a fault drove some fan under min_rpm
   {
     auto slots = make_lane_slots(rack);
     for (long p = 0; p < kLanePeriods; ++p) {
@@ -405,12 +437,14 @@ TEST(LaneAccounting, StepperMatchesScalarSessionsEveryPeriod) {
         steer(p, i, *slots[i]);
         slots[i]->session->step_period();
         want[p].push_back(lane_state(*slots[i]));
+        below_floor |= want[p].back().fan_rpm < rack.server.fan.min_rpm;
       }
     }
   }
   // The run must exercise what is being compared.
   ASSERT_GT(want.back()[0].violation_s, 0.0);
   ASSERT_GT(want.back()[0].junction.n, 0u);
+  ASSERT_TRUE(below_floor);
 
   for (std::size_t chunk :
        {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{0},
@@ -425,7 +459,6 @@ TEST(LaneAccounting, StepperMatchesScalarSessionsEveryPeriod) {
       stepper.prepare();
       LockstepExecutor executor(threads);
       for (long p = 0; p < kLanePeriods; ++p) {
-        if (p == kForcePeriod) stepper.force_scalar(kForcedSlot);
         for (std::size_t i = 0; i < kLaneSlots; ++i) steer(p, i, *slots[i]);
         executor.run(stepper.num_chunks(), [&stepper](std::size_t c) {
           stepper.advance_chunk_periods(c, 1);

@@ -1,16 +1,20 @@
 // fault/ subsystem tests: the empty-plan bit-identity contract (a run with
 // no faults armed is EXPECT_EQ-identical to a build without the fault
 // layer, across thread counts and chunk sizes), determinism of faulted
-// runs under the same sweeps, component fault modes (sensor stuck /
-// dropped / noisy, fan degraded / seized), blackout freezing at the
-// barrier, the failsafe coordinator and room scheduler responses, the
-// seeded scenario generator round-trip, and the predictor-backed
-// evacuation pricing (the first cross-layer consumer of
-// workload/predictor.hpp).
+// runs under the same sweeps, every batched lane — faulted or not —
+// against its slot simulated alone with the same faults, faulted lanes on
+// the vector kernel, FaultPlan JSON rejection of malformed events,
+// component fault modes (sensor stuck / dropped / noisy, fan degraded /
+// seized), blackout freezing at the barrier, the failsafe coordinator and
+// room scheduler responses, the seeded scenario generator round-trip, and
+// the predictor-backed evacuation pricing (the first cross-layer consumer
+// of workload/predictor.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "actuator/fan_actuator.hpp"
 #include "coord/coupled_rack_engine.hpp"
@@ -24,6 +28,7 @@
 #include "sim/server.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
+#include "util/ulp.hpp"
 #include "workload/predictor.hpp"
 
 namespace fsc {
@@ -88,6 +93,59 @@ TEST(FaultPlan, JsonRoundTrip) {
   const FaultPlan back = FaultPlan::from_json_text(plan.to_json(2));
   EXPECT_EQ(plan, back);
   EXPECT_EQ(FaultPlan::from_json_text(FaultPlan{}.to_json()), FaultPlan{});
+}
+
+/// from_json_text must throw std::invalid_argument whose message contains
+/// `needle` (the event index and the offending key).
+void expect_rejected(const std::string& events, const std::string& needle) {
+  try {
+    (void)FaultPlan::from_json_text(events);
+    ADD_FAILURE() << "accepted " << events;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FaultPlan, JsonRejectsBadEventsNamingIndexAndKey) {
+  // A good event first, so the message must name event 1, not event 0.
+  auto second = [](const std::string& bad) {
+    return R"([{"kind": "sensor-stuck", "slot": 1, "value": 45}, )" + bad +
+           "]";
+  };
+  // Misspelled keys: once dropped silently, putting the fault on slot 0
+  // ("slto") or arming it at t = 0 ("start").
+  expect_rejected(second(R"({"kind": "fan-seized", "slto": 9})"),
+                  "event 1 key 'slto'");
+  expect_rejected(second(R"({"kind": "fan-seized", "start": 600})"),
+                  "event 1 key 'start'");
+  // Indices are checked before the cast: 2.7 once became slot 2, and 1e300
+  // slot 0 through an undefined float-to-integer conversion.
+  expect_rejected(second(R"({"kind": "fan-seized", "slot": 2.7})"),
+                  "event 1 key 'slot'");
+  expect_rejected(second(R"({"kind": "fan-seized", "slot": 1e300})"),
+                  "event 1 key 'slot'");
+  expect_rejected(second(R"({"kind": "fan-seized", "slot": -1})"),
+                  "event 1 key 'slot'");
+  expect_rejected(second(R"({"kind": "fan-seized", "rack": 0.5})"),
+                  "event 1 key 'rack'");
+  expect_rejected(second(R"({"kind": "fan-seized", "rack": "0"})"),
+                  "event 1 key 'rack'");
+  // Times and values must be finite (strtod reads 1e999 as infinity).
+  expect_rejected(second(R"({"kind": "fan-seized", "start_s": 1e999})"),
+                  "event 1 key 'start_s'");
+  expect_rejected(second(R"({"kind": "fan-seized", "duration_s": -1e999})"),
+                  "event 1 key 'duration_s'");
+  expect_rejected(second(R"({"kind": "sensor-noisy", "value": 1e999})"),
+                  "event 1 key 'value'");
+  expect_rejected(second(R"({"kind": "fan-melted"})"), "event 1 key 'kind'");
+  expect_rejected(second(R"({"slot": 1})"), "event 1: missing key 'kind'");
+  // Large integral indices still parse exactly.
+  EXPECT_EQ(FaultPlan::from_json_text(
+                R"([{"kind": "fan-seized", "slot": 4503599627370496}])")
+                .events[0]
+                .slot,
+            std::size_t{4503599627370496});
 }
 
 TEST(FaultPlan, ForRackRehomesToRackZero) {
@@ -210,34 +268,143 @@ TEST(FaultInjection, FaultsChangeTheOutcome) {
             healthy.slots[1].result.max_junction_celsius);
 }
 
-TEST(FaultInjection, HealthyLanesMatchTheirScalarRunsUnderFaults) {
-  // Faulted lanes leave the batch for the scalar path (force_scalar); the
-  // healthy lanes of an uncoupled rack, batched next to them, must still
-  // match each slot simulated alone through Server::step.
+/// Every plant fault kind on small_params()'s six slots, armed and (some)
+/// cleared at its 30 s barriers: a stuck, a noisy and a dropped sensor, a
+/// degraded ceiling below min_rpm that clears and one above it, a seized
+/// rotor at the default windmill speed that clears and one above
+/// min_rpm, and a blackout, which leaves the plant alone.
+FaultPlan every_kind_plan() {
+  FaultPlan plan;
+  plan.events = {
+      {FaultKind::kSensorStuck, 0, 0, 30.0, -1.0, 45.0},
+      {FaultKind::kFanDegraded, 0, 0, 60.0, -1.0, 2200.0},
+      {FaultKind::kSensorNoisy, 0, 1, 30.0, 60.0, 1.5},
+      {FaultKind::kFanSeized, 0, 2, 60.0, 60.0, 0.0},
+      {FaultKind::kFanDegraded, 0, 3, 30.0, 90.0, 1200.0},
+      {FaultKind::kSensorDropped, 0, 4, 60.0, -1.0, 0.0},
+      {FaultKind::kSlotBlackout, 0, 4, 30.0, 60.0, 0.0},
+      {FaultKind::kFanSeized, 0, 5, 30.0, -1.0, 2500.0},
+  };
+  return plan;
+}
+
+/// Replays one slot's faults onto that slot simulated alone.  The session
+/// resolves the demand once per control period, at the period's start and
+/// before its physics, so advancing a one-server FaultInjector to the
+/// latest coordination barrier there arms and clears each fault at the
+/// same instant the rack's injector does.
+class FaultReplayWorkload final : public Workload {
+ public:
+  FaultReplayWorkload(const Workload& inner, const FaultPlan& rack_plan,
+                      std::size_t slot, Server& server, double barrier_s)
+      : inner_(inner),
+        injector_(slot_plan(rack_plan, slot), {&server}, obs::Telemetry{}),
+        barrier_s_(barrier_s) {}
+
+  double demand(double t) const override {
+    injector_.advance(std::floor(t / barrier_s_) * barrier_s_);
+    return inner_.demand(t);
+  }
+
+ private:
+  static FaultPlan slot_plan(const FaultPlan& rack_plan, std::size_t slot) {
+    FaultPlan out;
+    for (FaultEvent e : rack_plan.events) {
+      if (e.slot != slot) continue;
+      e.slot = 0;
+      out.events.push_back(e);
+    }
+    return out;
+  }
+
+  const Workload& inner_;
+  mutable FaultInjector injector_;
+  double barrier_s_;
+};
+
+TEST(FaultInjection, EveryLaneMatchesItsScalarRunUnderFaults) {
+  // Faulted lanes stay in the batch: a fan fault is the lane's drive, a
+  // sensor fault runs in the sensor's own sample path.  On an uncoupled
+  // rack every slot, faulted or not, must match the slot simulated alone
+  // through Server::step with the same faults armed at the same barriers.
   CoupledRackParams p = small_params();
   p.coordinator = "independent";
   p.plenum_enabled = false;
-  p.faults = mixed_plan();  // slots 0, 2 and 4
+  p.faults = every_kind_plan();
   const Rack rack(p.rack);
-  for (std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
-    p.chunk = chunk;
-    const CoupledRackResult faulted = CoupledRackEngine(p, 2).run();
-    for (std::size_t i : {1u, 3u, 5u}) {
-      SCOPED_TRACE(testing::Message() << "chunk=" << chunk << " slot=" << i);
-      const RackServerSpec& spec = rack.server(i);
-      Rng rng(spec.seed);
-      const auto workload = make_slot_workload(spec, rng);
-      Server server(spec.server, spec.solution.initial_fan_rpm, rng);
-      const auto dtm =
-          PolicyFactory::instance().make(p.rack.policy, spec.solution);
-      const SimulationResult alone =
-          run_simulation(server, *dtm, *workload, p.rack.sim);
-      EXPECT_EQ(faulted.slots[i].result.fan_energy_joules,
-                alone.fan_energy_joules);
-      EXPECT_EQ(faulted.slots[i].result.cpu_energy_joules,
-                alone.cpu_energy_joules);
-      EXPECT_EQ(faulted.slots[i].deadline_violations,
-                alone.deadline.violations());
+
+  auto run_alone = [&](std::size_t i, const FaultPlan& plan) {
+    const RackServerSpec& spec = rack.server(i);
+    Rng rng(spec.seed);
+    const auto workload = make_slot_workload(spec, rng);
+    Server server(spec.server, spec.solution.initial_fan_rpm, rng);
+    const FaultReplayWorkload replay(*workload, plan, i, server,
+                                     p.coord.coordination_period_s);
+    const auto dtm = PolicyFactory::instance().make(p.rack.policy, spec.solution);
+    return run_simulation(server, *dtm, replay, p.rack.sim);
+  };
+  std::vector<SimulationResult> alone;
+  for (std::size_t i = 0; i < rack.size(); ++i) {
+    alone.push_back(run_alone(i, p.faults));
+    // Every slot's faults change its run.
+    EXPECT_NE(alone[i].fan_energy_joules,
+              run_alone(i, FaultPlan{}).fan_energy_joules) << "slot " << i;
+  }
+
+  for (std::size_t threads : {1u, 2u}) {
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
+      p.chunk = chunk;
+      const CoupledRackResult faulted = CoupledRackEngine(p, threads).run();
+      for (std::size_t i = 0; i < rack.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                        << " chunk=" << chunk << " slot=" << i);
+        EXPECT_EQ(faulted.slots[i].result.fan_energy_joules,
+                  alone[i].fan_energy_joules);
+        EXPECT_EQ(faulted.slots[i].result.cpu_energy_joules,
+                  alone[i].cpu_energy_joules);
+        EXPECT_EQ(faulted.slots[i].result.max_junction_celsius,
+                  alone[i].junction_stats.max());
+        EXPECT_EQ(faulted.slots[i].deadline_violations,
+                  alone[i].deadline.violations());
+      }
+    }
+  }
+}
+
+TEST(FaultInjection, FaultedLanesRunTheVectorKernel) {
+  // With --simd on, faulted lanes take the vector kernel like healthy ones
+  // — degraded drives, a seized rotor's infinite slew — at the width
+  // FSC_SIMD pins.  At a fixed width the run is bit-stable across chunks
+  // and threads, and it tracks the reference path within the kernel's ULP
+  // bounds: every discrete outcome equal, energies and temperatures close.
+  CoupledRackParams p = small_params();
+  p.coordinator = "independent";
+  p.plenum_enabled = false;
+  p.faults = every_kind_plan();
+  const CoupledRackResult ref = CoupledRackEngine(p, 1).run();
+  p.simd = simd::SimdMode::kOn;
+  const CoupledRackResult vec = CoupledRackEngine(p, 1).run();
+  constexpr std::uint64_t kUlp = 1u << 20;
+  constexpr double kAbs = 1e-5;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "slot=" << i);
+    EXPECT_EQ(vec.slots[i].deadline_violations, ref.slots[i].deadline_violations);
+    EXPECT_TRUE(within_ulp_or_abs(vec.slots[i].result.fan_energy_joules,
+                                  ref.slots[i].result.fan_energy_joules, kUlp,
+                                  kAbs));
+    EXPECT_TRUE(within_ulp_or_abs(vec.slots[i].result.cpu_energy_joules,
+                                  ref.slots[i].result.cpu_energy_joules, kUlp,
+                                  kAbs));
+    EXPECT_TRUE(within_ulp_or_abs(vec.slots[i].result.max_junction_celsius,
+                                  ref.slots[i].result.max_junction_celsius,
+                                  kUlp, kAbs));
+  }
+  for (std::size_t threads : {1u, 2u}) {
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
+      p.chunk = chunk;
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " chunk=" << chunk);
+      expect_identical(vec, CoupledRackEngine(p, threads).run());
     }
   }
 }

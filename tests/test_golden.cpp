@@ -177,6 +177,39 @@ std::string rack_sensor_off_period() {
   return CoupledRackEngine(p, s.threads).run().to_json();
 }
 
+// One event of each plant fault kind on an uncoordinated rack: a degraded
+// fan that clears mid-run, a degraded ceiling below min_rpm, a seized fan
+// windmilling above min_rpm and one at the default windmill speed that
+// clears, and stuck, dropped and noisy sensors.
+std::string rack_8_fault_kinds() {
+  ScenarioSpec s;
+  s.slots = 8;
+  s.seed = 909;
+  s.duration_s = 900.0;
+  s.coordinator = "independent";
+  s.threads = 2;
+  auto event = [](FaultKind kind, std::size_t slot, double start_s,
+                  double duration_s, double value) {
+    FaultEvent e;
+    e.kind = kind;
+    e.slot = slot;
+    e.start_s = start_s;
+    e.duration_s = duration_s;
+    e.value = value;
+    return e;
+  };
+  s.faults.events = {
+      event(FaultKind::kSensorStuck, 0, 120.0, -1.0, 55.0),
+      event(FaultKind::kSensorDropped, 1, 200.0, 300.0, 0.0),
+      event(FaultKind::kSensorNoisy, 2, 60.0, -1.0, 1.5),
+      event(FaultKind::kFanDegraded, 3, 100.0, 400.0, 2200.0),
+      event(FaultKind::kFanDegraded, 4, 150.0, -1.0, 1200.0),
+      event(FaultKind::kFanSeized, 5, 90.0, -1.0, 2500.0),
+      event(FaultKind::kFanSeized, 6, 240.0, 360.0, 0.0),
+  };
+  return CoupledRackEngine(s.build_rack(), s.threads).run().to_json();
+}
+
 struct Scenario {
   const char* name;
   std::string (*report)();
@@ -191,6 +224,7 @@ constexpr Scenario kScenarios[] = {
     {"room-4x8-static-traces", room_4x8_static_traces},
     {"room-3x8-faulted-failsafe", room_faulted_failsafe},
     {"rack-8-sensor-0.73s", rack_sensor_off_period},
+    {"rack-8-fault-kinds", rack_8_fault_kinds},
 };
 
 // ------------------------------------------------------------ digest file

@@ -201,6 +201,13 @@ TEST(ScenarioSpec, MalformedValuesThrow) {
                std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::from_json_text(R"({"slots": 2.5})"),
                std::invalid_argument);
+  // Range-checked before the cast, which is undefined past std::size_t.
+  EXPECT_THROW(ScenarioSpec::from_json_text(R"({"slots": 1e300})"),
+               std::invalid_argument);
+  EXPECT_THROW(ScenarioSpec::from_json_text(R"({"chunk": 18446744073709551616})"),
+               std::invalid_argument);
+  EXPECT_THROW(ScenarioSpec::from_json_text(R"({"racks": 1e999})"),
+               std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::from_json_text(R"({"simd": "wide"})"),
                std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::from_json_text("[]"), std::invalid_argument);

@@ -1,40 +1,26 @@
-// Scalar per-server step vs batched SoA kernel vs the explicitly
-// vectorized SIMD kernel (batch/simd/).
+// Scalar per-server step vs the batched SoA kernel.
 //
-// Three series, each in a steady (fans settled — memo hits, the common
+// Two series, each in a steady (fans settled — memo hits, the common
 // case) and a slewing (command flips every control period — the memoised
 // pow/exp refresh constantly, the worst case) regime:
 //
 //   * BM_ScalarServerStep: one Server::step per call, the per-object
 //     baseline from bench_micro_perf;
-//   * BM_BatchedServerStep*/N: ServerBatch::step_all through the PR-4
-//     scalar-expression reference path plus the LaneAccounting pass and
-//     its per-period write-back — what the batched engines do per substep;
-//   * BM_SimdServerStep*/N: the same work routed through the widest
-//     vector kernel this host supports (skipped, with the reason printed,
-//     on scalar-only hosts).
+//   * BM_BatchedServerStep*/N: ServerBatch::step_all plus the
+//     LaneAccounting pass and its per-period write-back — what the
+//     batched engines do per substep.
 //
 // The timed fleet is COEFFICIENT-heterogeneous (per-lane Rhs power-law
-// spread, like a rack mixing SKU steppings): this defeats both paths'
+// spread, like a rack mixing SKU steppings): this defeats the kernel's
 // rolling coefficient share, so a slewing lane there pays a real libm
-// pow + exp — exactly the cost the polynomial kernel amortises to ~1/W
-// of a vector op.  Memo hit/shared/miss telemetry is printed per path,
-// plus a UNIFORM-fleet slewing row (identical SKUs moving in lockstep)
-// where the share tier — including the SIMD path's block-wise
-// BlockShare — carries the load and the shared rate is non-zero.
+// pow + exp.  Memo hit/shared/miss telemetry is printed per regime, plus
+// a UNIFORM-fleet slewing row (identical SKUs moving in lockstep) where
+// the share tier carries the load and the shared rate is non-zero.
 //
-// After the timing loops, main() enforces two claims through
-// bench/verdict.hpp on plain-chrono kernel measurements:
-//
-//   * the batch claim: batched (settled, incl. accounting) beats the
-//     scalar baseline by >= 4x at N = 64;
-//   * this PR's claim: the SIMD kernel beats the batched reference
-//     kernel by >= 2x at N = 64 on the slewing fleet, measured
-//     kernel-only (step_all, no accounting — the accounting is identical
-//     in both paths and would only dilute what is being compared).
-//
-// The SIMD gate is SKIPPED (not failed, reason printed) when the host has
-// no vector unit.  Exit is non-zero when an applicable gate regresses.
+// After the timing loops, main() enforces the batch claim through
+// bench/verdict.hpp on a plain-chrono measurement: batched (settled, incl.
+// accounting) beats the scalar baseline by >= 4x at N = 64.  Exit is
+// non-zero when the gate regresses.
 //
 // Writes BENCH_batch.json (override via FSC_BENCH_JSON) with the same
 // schema as the other BENCH_*.json trajectory files.
@@ -45,7 +31,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "json_reporter.hpp"
@@ -53,7 +38,6 @@
 
 #include "batch/lane_accounting.hpp"
 #include "batch/server_batch.hpp"
-#include "batch/simd/dispatch.hpp"
 #include "sim/server.hpp"
 #include "util/rng.hpp"
 
@@ -158,12 +142,8 @@ void BM_ScalarServerStepSlewing(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarServerStepSlewing);
 
-/// `width`: nullopt = the PR-4 scalar-expression reference path, a value =
-/// that vector kernel.
-void run_batched_series(benchmark::State& state,
-                        std::optional<simd::Width> width, bool slewing) {
+void run_batched_series(benchmark::State& state, bool slewing) {
   Fleet fleet(static_cast<std::size_t>(state.range(0)));
-  fleet.batch.set_simd(width);
   long substep = 0;
   for (auto _ : state) {
     if (slewing && substep % 20 == 0) fleet.set_inputs(slew_command(substep));
@@ -176,34 +156,16 @@ void run_batched_series(benchmark::State& state,
 }
 
 void BM_BatchedServerStep(benchmark::State& state) {
-  run_batched_series(state, std::nullopt, false);
+  run_batched_series(state, false);
 }
 BENCHMARK(BM_BatchedServerStep)->Arg(1)->Arg(8)->Arg(64);
 
 void BM_BatchedServerStepSlewing(benchmark::State& state) {
-  run_batched_series(state, std::nullopt, true);
+  run_batched_series(state, true);
 }
 BENCHMARK(BM_BatchedServerStepSlewing)->Arg(64);
 
-void BM_SimdServerStep(benchmark::State& state) {
-  if (!simd::has_vector_isa()) {
-    state.SkipWithError("no vector ISA on this host");
-    return;
-  }
-  run_batched_series(state, simd::best_width(), false);
-}
-BENCHMARK(BM_SimdServerStep)->Arg(1)->Arg(8)->Arg(64);
-
-void BM_SimdServerStepSlewing(benchmark::State& state) {
-  if (!simd::has_vector_isa()) {
-    state.SkipWithError("no vector ISA on this host");
-    return;
-  }
-  run_batched_series(state, simd::best_width(), true);
-}
-BENCHMARK(BM_SimdServerStepSlewing)->Arg(64);
-
-/// Plain-chrono measurement for the enforced verdicts (the
+/// Plain-chrono measurement for the enforced verdict (the
 /// google-benchmark results are not programmatically accessible here).
 
 double measure_scalar_ns_per_step() {
@@ -232,46 +194,17 @@ double measure_batched_ns_per_server_step(std::size_t n) {
          static_cast<double>(kSubsteps * static_cast<long>(n));
 }
 
-/// Kernel-only (step_all, no accounting) ns per server-substep on the
-/// slewing fleet — the SIMD gate's metric: both paths share the
-/// accounting bit-for-bit, so including it would only dilute the kernel
-/// comparison it exists to make.
-double measure_kernel_slewing_ns(std::optional<simd::Width> width,
-                                 std::size_t n) {
-  Fleet fleet(n);
-  fleet.batch.set_simd(width);
-  long substep = 0;
-  const auto drive = [&](long substeps) {
-    for (long i = 0; i < substeps; ++i) {
-      if (substep % 20 == 0) fleet.set_inputs(slew_command(substep));
-      fleet.batch.step_all(kDt);
-      ++substep;
-    }
-  };
-  drive(2000);  // warmup
-  constexpr long kSubsteps = 40000;
-  const auto start = std::chrono::steady_clock::now();
-  drive(kSubsteps);
-  const auto stop = std::chrono::steady_clock::now();
-  benchmark::DoNotOptimize(fleet.batch.junction_celsius(0));
-  return std::chrono::duration<double, std::nano>(stop - start).count() /
-         static_cast<double>(kSubsteps * static_cast<long>(n));
-}
-
-/// Memo telemetry per path and regime (both paths: hit/shared/miss — the
-/// reference path shares lane-by-lane, the SIMD path block-by-block via
-/// BlockShare).  Read back through a MetricsRegistry snapshot — the same
+/// Memo telemetry per regime (hit/shared/miss; the share is lane by
+/// lane).  Read back through a MetricsRegistry snapshot — the same
 /// one-source-of-truth path the engines publish ("batch.memo_hit" /
 /// "batch.memo_shared_hit" / "batch.memo_miss"), rather than a
 /// bench-private tally.  The heterogeneous rows show ~0 % shared by
 /// design; the uniform row is where the share tier carries the slew.
-void print_memo_hit_rates(std::optional<simd::Width> width) {
+void print_memo_hit_rates() {
   const auto rate = [](std::uint64_t part, std::uint64_t whole) {
     return whole == 0 ? 0.0 : 100.0 * static_cast<double>(part) /
                                   static_cast<double>(whole);
   };
-  const char* path =
-      width.has_value() ? simd::width_name(*width) : "reference";
   const auto report = [&](const char* regime,
                           const fsc::obs::MetricsRegistry& registry) {
     const auto snap = registry.snapshot();
@@ -279,15 +212,13 @@ void print_memo_hit_rates(std::optional<simd::Width> width) {
     const std::uint64_t shared = snap.counter("batch.memo_shared_hit");
     const std::uint64_t miss = snap.counter("batch.memo_miss");
     const std::uint64_t lanes = hit + shared + miss;
-    std::printf(
-        "memo [%-9s] (%s): %5.1f %% hit  %5.1f %% shared  %5.1f %% miss\n",
-        path, regime, rate(hit, lanes), rate(shared, lanes),
-        rate(miss, lanes));
+    std::printf("memo (%s): %5.1f %% hit  %5.1f %% shared  %5.1f %% miss\n",
+                regime, rate(hit, lanes), rate(shared, lanes),
+                rate(miss, lanes));
   };
   {
     fsc::obs::MetricsRegistry registry;
     Fleet fleet(64);
-    fleet.batch.set_simd(width);
     for (int i = 0; i < 2000; ++i) fleet.substep();  // settle
     fleet.batch.attach_memo_counters(registry);
     for (int i = 0; i < 20000; ++i) fleet.substep();
@@ -296,7 +227,6 @@ void print_memo_hit_rates(std::optional<simd::Width> width) {
   {
     fsc::obs::MetricsRegistry registry;
     Fleet fleet(64);
-    fleet.batch.set_simd(width);
     fleet.batch.attach_memo_counters(registry);
     long substep = 0;
     for (int i = 0; i < 20000; ++i) {
@@ -309,7 +239,6 @@ void print_memo_hit_rates(std::optional<simd::Width> width) {
   {
     fsc::obs::MetricsRegistry registry;
     Fleet fleet(64, /*uniform=*/true);
-    fleet.batch.set_simd(width);
     fleet.batch.attach_memo_counters(registry);
     long substep = 0;
     for (int i = 0; i < 20000; ++i) {
@@ -334,48 +263,13 @@ bool print_throughput_verdict() {
   std::printf("scalar  Server::step      : %8.2f ns/server-step\n", scalar_ns);
   std::printf("batched step_all + lanes  : %8.2f ns/server-step (%.1fx)\n",
               batched_ns, scalar_ns / batched_ns);
-  print_memo_hit_rates(std::nullopt);
+  print_memo_hit_rates();
   bool ok = true;
   ok &= fsc_bench::check_beats("batched-soa-n64", "ns_per_server_step",
                                "scalar", scalar_ns, batched_ns);
   ok &= fsc_bench::check_beats("batched-soa-n64", "ns_per_server_step",
                                "scalar/4 (the >=4x tentpole)", scalar_ns / 4.0,
                                batched_ns);
-
-  if (!simd::has_vector_isa()) {
-    std::printf(
-        "\n--- simd kernel gate: SKIPPED (no vector ISA on this host; "
-        "dispatch resolves to %s) ---\n",
-        simd::width_name(simd::best_width()));
-    return ok;
-  }
-
-  const simd::Width width = simd::best_width();
-  double ref_kernel_ns = measure_kernel_slewing_ns(std::nullopt, 64);
-  double simd_kernel_ns = measure_kernel_slewing_ns(width, 64);
-  for (int rep = 0; rep < 4; ++rep) {
-    ref_kernel_ns =
-        std::min(ref_kernel_ns, measure_kernel_slewing_ns(std::nullopt, 64));
-    simd_kernel_ns =
-        std::min(simd_kernel_ns, measure_kernel_slewing_ns(width, 64));
-  }
-  std::printf(
-      "\n--- simd kernel throughput (n=64, slewing, heterogeneous, "
-      "kernel-only) ---\n");
-  std::printf("batched reference kernel  : %8.2f ns/server-substep\n",
-              ref_kernel_ns);
-  std::printf("simd %-6s kernel        : %8.2f ns/server-substep (%.1fx)\n",
-              simd::width_name(width), simd_kernel_ns,
-              ref_kernel_ns / simd_kernel_ns);
-  print_memo_hit_rates(width);
-  std::printf("\n");
-  const std::string policy =
-      std::string("simd-") + simd::width_name(width) + "-n64";
-  ok &= fsc_bench::check_beats(policy.c_str(), "ns_per_server_substep",
-                               "batched", ref_kernel_ns, simd_kernel_ns);
-  ok &= fsc_bench::check_beats(policy.c_str(), "ns_per_server_substep",
-                               "batched/2 (the >=2x tentpole)",
-                               ref_kernel_ns / 2.0, simd_kernel_ns);
   return ok;
 }
 

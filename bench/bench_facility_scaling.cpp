@@ -29,7 +29,7 @@
 #include "verdict.hpp"
 
 #include "facility/facility_engine.hpp"
-#include "util/cpu_features.hpp"
+#include "util/cpu_topology.hpp"
 #include "util/rng.hpp"
 
 namespace {

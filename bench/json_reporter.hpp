@@ -3,9 +3,9 @@
 // {"manifest": {...}, "results": [{"name", "iterations", "ns_per_op"},...]}
 // — written to a JSON file on Finalize, so the perf trajectory can be
 // accumulated across commits AND every trajectory row is self-describing
-// (which host, how many cores, which SIMD width, which commit produced
-// it).  The output path defaults per-bench and is overridable via the
-// FSC_BENCH_JSON environment variable.
+// (which host, how many cores, which commit produced it).  The output path
+// defaults per-bench and is overridable via the FSC_BENCH_JSON environment
+// variable.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -19,9 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "batch/simd/dispatch.hpp"
 #include "obs/manifest.hpp"
-#include "util/cpu_features.hpp"
 
 namespace fsc_bench {
 
@@ -102,10 +100,6 @@ inline int run_benchmarks_with_json(int argc, char** argv,
   manifest.command = fsc::obs::command_line(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  // Perf numbers are meaningless without knowing what silicon produced
-  // them and which kernel width dispatch would pick there.
-  std::cout << "cpu features: " << fsc::cpu_features_line() << "\n"
-            << fsc::simd::dispatch_line() << "\n";
   const char* json_path = std::getenv("FSC_BENCH_JSON");
   JsonTrajectoryReporter reporter(json_path != nullptr ? json_path
                                                        : default_json_path);

@@ -18,7 +18,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "batch/simd/dispatch.hpp"
 #include "core/policy_factory.hpp"
 #include "obs/manifest.hpp"
 #include "obs/obs.hpp"
@@ -63,18 +62,6 @@ inline bool parse_positive(const char* text, std::size_t& out) {
   return true;
 }
 
-/// Parse a SIMD mode flag value ("--simd on|off|auto") into `out`.  Width
-/// selection within "on"/"auto" belongs to FSC_SIMD.
-inline bool parse_simd_mode(const char* text, fsc::simd::SimdMode& out) {
-  if (text == nullptr) return false;
-  try {
-    out = fsc::simd_mode_from_string(text);
-    return true;
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-}
-
 /// Outcome of offering one argv slot to the scenario-flag parser.
 enum class ScenarioFlag {
   kNotMine,   ///< not a scenario flag; the caller's loop handles it
@@ -91,7 +78,7 @@ enum class ScenarioFlag {
 ///   --dtm POLICY --coordinator COORD --scheduler SCHED
 ///   --rack-budget W --room-budget W --step FRAC --zone K
 ///   --no-plenum --no-cross-plenum
-///   --threads N --chunk N --simd on|off|auto
+///   --threads N --chunk N
 ///   --traces DIR --trace-pack FILE
 ///   --plant-watts W --supply-amplitude C --facility-period S
 ///
@@ -181,9 +168,6 @@ inline ScenarioFlag consume_scenario_flag(fsc::ScenarioSpec& spec, int argc,
   }
   if (arg == "--chunk") {
     return take(parse_unsigned(value, spec.chunk), "a non-negative integer");
-  }
-  if (arg == "--simd") {
-    return take(parse_simd_mode(value, spec.simd), "on|off|auto");
   }
   if (arg == "--traces") return take(text(spec.trace_dir), "a directory");
   if (arg == "--trace-pack") {

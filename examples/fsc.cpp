@@ -20,7 +20,7 @@
 //       [--seed S] [--duration SECS] [--dtm POLICY] [--coordinator COORD]
 //       [--scheduler SCHED] [--rack-budget W] [--room-budget W]
 //       [--step FRAC] [--zone K] [--no-plenum] [--no-cross-plenum]
-//       [--threads N] [--chunk N] [--simd on|off|auto] [--no-pin]
+//       [--threads N] [--chunk N] [--no-pin]
 //       [--traces DIR] [--trace-pack FILE.fst]
 //       [--plant-watts W] [--supply-amplitude C] [--facility-period S]
 //       [--trace-out FILE.json] [--metrics-out FILE] [--metrics-every N]
@@ -36,8 +36,6 @@
 //   --step         fraction of a hot rack's load moved per migration
 //   --chunk        lanes per batch chunk, the shard unit threads
 //                  parallelise over (0 = auto); any value is bit-identical
-//   --simd         explicitly vectorized plant kernel (default off = the
-//                  bit-identical scalar reference); FSC_SIMD picks the width
 //   --no-pin       disable topology-aware worker placement (facility)
 //   --plant-watts  shared cooling capacity; < 0 (default) = unconstrained
 //   --supply-amplitude  diurnal supply-air peak offset in celsius
@@ -61,7 +59,7 @@
 #include "facility/facility_engine.hpp"
 #include "room/room_engine.hpp"
 #include "sim/scenario.hpp"
-#include "util/cpu_features.hpp"
+#include "util/cpu_topology.hpp"
 
 namespace {
 
@@ -75,7 +73,7 @@ int usage(const char* argv0) {
          "[--coordinator COORD]\n"
          "       [--scheduler SCHED] [--rack-budget W] [--room-budget W]\n"
          "       [--step FRAC] [--zone K] [--no-plenum] [--no-cross-plenum]\n"
-         "       [--threads N] [--chunk N] [--simd on|off|auto] [--no-pin]\n"
+         "       [--threads N] [--chunk N] [--no-pin]\n"
          "       [--traces DIR] [--trace-pack FILE.fst]\n"
          "       [--plant-watts W] [--supply-amplitude C] "
          "[--facility-period S]\n"

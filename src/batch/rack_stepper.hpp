@@ -102,15 +102,6 @@ class RackBatchStepper {
   ServerBatch& batch() noexcept { return batch_; }
   const ServerBatch& batch() const noexcept { return batch_; }
 
-  /// Route the batched physics through the explicitly vectorized kernel at
-  /// `width` (nullopt = the scalar-expression reference path, the
-  /// default).  Forwarded to ServerBatch::set_simd — same validation and
-  /// memo-invalidation semantics; set it before prepare().
-  void set_simd(std::optional<simd::Width> width) { batch_.set_simd(width); }
-  std::optional<simd::Width> simd_width() const noexcept {
-    return batch_.simd_width();
-  }
-
   /// Batched demand: resolve each period's per-lane demand through
   /// `table` (one indexed-gather loop per range, workload/
   /// workload_table.hpp) instead of one virtual Workload::demand call per

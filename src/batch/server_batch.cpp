@@ -72,21 +72,6 @@ void ServerBatch::refresh_dt(double dt) {
   last_dt_ = dt;
 }
 
-void ServerBatch::set_simd(std::optional<simd::Width> width) {
-  if (width.has_value()) {
-    require(simd::width_supported(*width),
-            "ServerBatch::set_simd: width not supported on this host/binary");
-    simd_step_ = simd::step_fn(*width);
-  } else {
-    simd_step_ = nullptr;
-  }
-  simd_width_ = width;
-  // The two paths round the memoised transcendentals differently; drop
-  // every memo so the next step recomputes them through the new kernel.
-  for (double& m : memo_rpm_) m = std::numeric_limits<double>::quiet_NaN();
-  last_dt_ = -1.0;
-}
-
 void ServerBatch::prepare_dt(double dt) {
   require(dt >= 0.0, "ServerBatch::prepare_dt: dt must be >= 0");
   if (dt != last_dt_) refresh_dt(dt);
@@ -115,42 +100,6 @@ void ServerBatch::step_range(std::size_t lo, std::size_t hi, double dt) {
         "stepping");
   }
   if (lo == hi) return;
-
-  if (simd_step_ != nullptr) {
-    simd::BatchLanes lanes;
-    lanes.fan_actual = fan_actual_.data();
-    lanes.heat_sink = heat_sink_.data();
-    lanes.junction = junction_.data();
-    lanes.fan_watts = fan_watts_.data();
-    lanes.memo_rpm = memo_rpm_.data();
-    lanes.r_hs = r_hs_.data();
-    lanes.hs_decay = hs_decay_.data();
-    lanes.fan_cmd = fan_cmd_.data();
-    lanes.cpu_watts = cpu_watts_.data();
-    lanes.ambient = ambient_.data();
-    lanes.r_base = r_base_.data();
-    lanes.r_coeff = r_coeff_.data();
-    lanes.r_exp = r_exp_.data();
-    lanes.hs_capacitance = hs_capacitance_.data();
-    lanes.die_decay = die_decay_.data();
-    lanes.r_die = r_die_.data();
-    lanes.fan_slew = fan_slew_.data();
-    lanes.fan_pmax = fan_pmax_.data();
-    lanes.fan_smax = fan_smax_.data();
-    simd::StepStats stats;
-    simd_step_(lanes, lo, hi, dt, memo_telemetry_ ? &stats : nullptr);
-    if (memo_telemetry_) {
-      // Shared hits are the vector path's block-wide rolling share
-      // (simd_step.hpp BlockShare) — same tier as the scalar path's, at
-      // block granularity.  Slot attribution by lane range keeps the
-      // per-slot counter breakdown independent of which thread ran this
-      // chunk.
-      memo_hits_c_->add(stats.hits, memo_slot(lo));
-      memo_shared_hits_c_->add(stats.shared, memo_slot(lo));
-      memo_misses_c_->add(stats.misses, memo_slot(lo));
-    }
-    return;
-  }
 
   double* __restrict act = fan_actual_.data();
   const double* __restrict cmd = fan_cmd_.data();

@@ -44,11 +44,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "actuator/fan_actuator.hpp"
-#include "batch/simd/dispatch.hpp"
 #include "obs/metrics.hpp"
 #include "util/lane_vector.hpp"
 
@@ -102,23 +100,6 @@ class ServerBatch {
   /// dt >= 0 and lo <= hi <= size() (std::invalid_argument) and
   /// prepare_dt(dt) to have run (throws std::logic_error otherwise).
   void step_range(std::size_t lo, std::size_t hi, double dt);
-
-  /// Route step_all/step_range through the explicitly vectorized kernel at
-  /// `width` (batch/simd/dispatch.hpp); nullopt — the default — keeps the
-  /// scalar-expression reference path above, which stays bit-identical to
-  /// Server::step.  The vector path agrees with the reference to the ULP
-  /// bounds documented in batch/simd/vmath.hpp and is bit-stable across
-  /// chunk sizes and thread counts at a fixed width.  Throws
-  /// std::invalid_argument when `width` is not supported on this
-  /// host/binary (simd::width_supported is the guard).  Switching kernels
-  /// invalidates the transcendental memos — the two paths round them
-  /// differently, and a memo computed by one must not leak into the
-  /// other's trajectory — so call it before stepping, never from a
-  /// concurrent chunk wave, and re-run prepare_dt() afterwards.
-  void set_simd(std::optional<simd::Width> width);
-  std::optional<simd::Width> simd_width() const noexcept {
-    return simd_width_;
-  }
 
   /// Memoisation telemetry over all step_all/step_range lanes processed
   /// since the last reset: a *hit* skipped the pow/exp entirely (fan speed
@@ -207,11 +188,6 @@ class ServerBatch {
   LaneVector<double> hs_decay_;
   LaneVector<double> die_decay_;
   double last_dt_ = -1.0;  ///< sentinel: never matches a (>= 0) step dt
-
-  // Vector-path routing (set_simd): non-null diverts step_range into the
-  // dispatched width's kernel.
-  std::optional<simd::Width> simd_width_;
-  simd::StepFn simd_step_ = nullptr;
 
   // Memo telemetry (see memo_hits()): obs::Counter cells so concurrent
   // chunk ranges account without a lock, gated off by default to keep the

@@ -138,7 +138,6 @@ struct CoupledRackEngine::Session::Impl {
 
     stepper.set_chunk_lanes(params.chunk);
     for (const auto& rt : slots) stepper.add_slot(*rt->session, rt->server);
-    stepper.set_simd(simd::resolve_mode(params.simd));
     // Table every lane once, up front.  A single non-tableable workload
     // drops the whole table — the per-lane path is always correct, the
     // table only faster.

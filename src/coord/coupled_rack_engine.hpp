@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "batch/simd/dispatch.hpp"
 #include "coord/coordinator.hpp"
 #include "coord/plenum.hpp"
 #include "fault/fault_plan.hpp"
@@ -61,14 +60,6 @@ struct CoupledRackParams {
   /// other lane keeps the per-lane virtual Workload::demand path.  Both
   /// compute the same expressions, so the choice never changes a result.
   std::size_t chunk = 0;
-  /// Explicitly vectorized plant kernel (batch/simd/): kOff — the default —
-  /// keeps the scalar-expression reference path (bit-identical to the
-  /// per-server model); kOn routes the batched physics through the widest
-  /// kernel the host supports (FSC_SIMD overrides the width); kAuto enables
-  /// it only when the host has a real vector unit.  Trajectories agree with
-  /// the reference to the ULP bounds in batch/simd/vmath.hpp (test_simd)
-  /// and are bit-stable across chunk/thread choices at a fixed width.
-  simd::SimdMode simd = simd::SimdMode::kOff;
   /// Telemetry sinks (obs/obs.hpp), default fully detached.  Read-only
   /// with respect to the simulation: attaching any combination of sinks
   /// leaves the trajectory bit-identical (test_obs pins this).  Sessions

@@ -4,9 +4,6 @@
 #include <sstream>
 #include <thread>
 
-#include "batch/simd/dispatch.hpp"
-#include "util/cpu_features.hpp"
-
 // CMake stamps the configure-time `git describe` onto this TU only; a
 // build system-free compile still works, it just reports "unknown".
 #ifndef FSC_GIT_DESCRIBE
@@ -22,7 +19,7 @@ namespace fsc::obs {
 namespace {
 
 /// Minimal JSON string escape (quotes, backslashes, control chars) — the
-/// manifest's strings are feature lines and command lines, not user text.
+/// manifest's strings are version and command lines, not user text.
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);
@@ -50,8 +47,6 @@ std::string json_escape(const std::string& s) {
 RunManifest RunManifest::collect() {
   RunManifest m;
   m.git_describe = FSC_GIT_DESCRIBE;
-  m.cpu_features = cpu_features_line();
-  m.simd_dispatch = simd::dispatch_line();
   m.host_cores = std::thread::hardware_concurrency();
   m.obs_enabled = FSC_OBS_ENABLED != 0;
   return m;
@@ -64,8 +59,6 @@ std::string RunManifest::to_json(int indent) const {
   std::ostringstream os;
   os << "{\n";
   os << pad << "\"git_describe\": \"" << json_escape(git_describe) << "\",\n";
-  os << pad << "\"cpu_features\": \"" << json_escape(cpu_features) << "\",\n";
-  os << pad << "\"simd_dispatch\": \"" << json_escape(simd_dispatch) << "\",\n";
   os << pad << "\"host_cores\": " << host_cores << ",\n";
   os << pad << "\"obs_enabled\": " << (obs_enabled ? "true" : "false") << ",\n";
   os << pad << "\"threads\": " << threads << ",\n";

@@ -17,8 +17,6 @@ namespace fsc::obs {
 struct RunManifest {
   // Build + host facts (collect()).
   std::string git_describe;   ///< `git describe` at configure time
-  std::string cpu_features;   ///< util/cpu_features.hpp probe line
-  std::string simd_dispatch;  ///< batch/simd dispatch decision line
   unsigned host_cores = 0;    ///< std::thread::hardware_concurrency()
   bool obs_enabled = true;    ///< built with FSC_OBS (engine hooks live)
 

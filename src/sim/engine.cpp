@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/units.hpp"
 
@@ -13,6 +14,11 @@ SimulationEngine::SimulationEngine(const SimulationParams& params)
   require(params_.cpu_period_s >= params_.physics_dt_s,
           "SimulationEngine: cpu period must be >= physics dt");
   require(params_.duration_s > 0.0, "SimulationEngine: duration must be > 0");
+  // The period count is this ratio cast to long, which is undefined past
+  // the type's range (1e300 s at 1 s periods) and for inf.
+  require(std::ceil(params_.duration_s / params_.cpu_period_s) <
+              std::ldexp(1.0, std::numeric_limits<long>::digits),
+          "SimulationEngine: duration / cpu period gives too many periods");
 }
 
 void SimulationEngine::add_sink(InstrumentationSink* sink) {

@@ -13,23 +13,6 @@
 
 namespace fsc {
 
-const char* to_string(simd::SimdMode mode) noexcept {
-  switch (mode) {
-    case simd::SimdMode::kOff: return "off";
-    case simd::SimdMode::kOn: return "on";
-    case simd::SimdMode::kAuto: return "auto";
-  }
-  return "unknown";
-}
-
-simd::SimdMode simd_mode_from_string(const std::string& name) {
-  if (name == "off") return simd::SimdMode::kOff;
-  if (name == "on") return simd::SimdMode::kOn;
-  if (name == "auto") return simd::SimdMode::kAuto;
-  throw std::invalid_argument("ScenarioSpec: unknown simd mode '" + name +
-                              "' (off|on|auto)");
-}
-
 void ScenarioSpec::validate() const {
   require(racks > 0, "ScenarioSpec: need at least one rack");
   require(slots > 0, "ScenarioSpec: need at least one slot per rack");
@@ -91,7 +74,6 @@ CoupledRackParams ScenarioSpec::build_rack() const {
   p.rack.num_servers = slots;
   p.plenum_enabled = plenum;
   p.chunk = chunk;
-  p.simd = simd;
   if (!coordinator.empty()) p.coordinator = coordinator;
   if (!dtm.empty()) p.rack.policy = dtm;
   if (rack_budget_watts >= 0.0) {
@@ -123,7 +105,6 @@ RoomParams ScenarioSpec::build_room() const {
     rack.rack.num_servers = slots;
     rack.plenum_enabled = plenum;
     rack.chunk = chunk;
-    rack.simd = simd;
     if (!coordinator.empty()) rack.coordinator = coordinator;
     if (!dtm.empty()) rack.rack.policy = dtm;
     if (rack_budget_watts >= 0.0) {
@@ -181,7 +162,6 @@ std::string ScenarioSpec::to_json(int indent) const {
   o.set("cross_plenum", json::Value::boolean(cross_plenum));
   o.set("threads", json::Value::number(static_cast<double>(threads)));
   o.set("chunk", json::Value::number(static_cast<double>(chunk)));
-  o.set("simd", json::Value::string(to_string(simd)));
   o.set("trace_dir", json::Value::string(trace_dir));
   o.set("trace_pack", json::Value::string(trace_pack));
   o.set("faults", json::Value::parse(faults.to_json()));
@@ -204,6 +184,17 @@ std::size_t as_index(const json::Value& v, const char* key) {
   }
 }
 
+// Every double knob must be finite: 1e999 parses to inf, which the CLI
+// flags already refuse and which no engine parameter can hold.
+double as_finite(const json::Value& v, const char* key) {
+  try {
+    return v.as_finite();
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument(std::string("ScenarioSpec: '") + key +
+                                "' must be a finite number");
+  }
+}
+
 }  // namespace
 
 ScenarioSpec ScenarioSpec::from_json_text(const std::string& text) {
@@ -220,7 +211,7 @@ ScenarioSpec ScenarioSpec::from_json_text(const std::string& text) {
     } else if (key == "seed") {
       spec.seed = static_cast<std::uint64_t>(as_index(value, "seed"));
     } else if (key == "duration_s") {
-      spec.duration_s = value.as_number();
+      spec.duration_s = as_finite(value, "duration_s");
     } else if (key == "dtm") {
       spec.dtm = value.as_string();
     } else if (key == "coordinator") {
@@ -228,11 +219,11 @@ ScenarioSpec ScenarioSpec::from_json_text(const std::string& text) {
     } else if (key == "scheduler") {
       spec.scheduler = value.as_string();
     } else if (key == "rack_budget_watts") {
-      spec.rack_budget_watts = value.as_number();
+      spec.rack_budget_watts = as_finite(value, "rack_budget_watts");
     } else if (key == "room_budget_watts") {
-      spec.room_budget_watts = value.as_number();
+      spec.room_budget_watts = as_finite(value, "room_budget_watts");
     } else if (key == "migration_step") {
-      spec.migration_step = value.as_number();
+      spec.migration_step = as_finite(value, "migration_step");
     } else if (key == "fan_zone") {
       spec.fan_zone = as_index(value, "fan_zone");
     } else if (key == "plenum") {
@@ -243,8 +234,6 @@ ScenarioSpec ScenarioSpec::from_json_text(const std::string& text) {
       spec.threads = as_index(value, "threads");
     } else if (key == "chunk") {
       spec.chunk = as_index(value, "chunk");
-    } else if (key == "simd") {
-      spec.simd = simd_mode_from_string(value.as_string());
     } else if (key == "trace_dir") {
       spec.trace_dir = value.as_string();
     } else if (key == "trace_pack") {
@@ -254,13 +243,13 @@ ScenarioSpec ScenarioSpec::from_json_text(const std::string& text) {
     } else if (key == "rooms") {
       spec.rooms = as_index(value, "rooms");
     } else if (key == "plant_capacity_watts") {
-      spec.plant_capacity_watts = value.as_number();
+      spec.plant_capacity_watts = as_finite(value, "plant_capacity_watts");
     } else if (key == "supply_amplitude_c") {
-      spec.supply_amplitude_c = value.as_number();
+      spec.supply_amplitude_c = as_finite(value, "supply_amplitude_c");
     } else if (key == "supply_period_s") {
-      spec.supply_period_s = value.as_number();
+      spec.supply_period_s = as_finite(value, "supply_period_s");
     } else if (key == "facility_period_s") {
-      spec.facility_period_s = value.as_number();
+      spec.facility_period_s = as_finite(value, "facility_period_s");
     } else {
       // A typo'd knob must not silently run the default.
       throw std::invalid_argument("ScenarioSpec: unknown key '" + key + "'");

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <string>
 
-#include "batch/simd/dispatch.hpp"
 #include "coord/coupled_rack_engine.hpp"
 #include "facility/facility_engine.hpp"
 #include "fault/fault_plan.hpp"
@@ -60,7 +59,6 @@ struct ScenarioSpec {
   // --- execution ---------------------------------------------------------
   std::size_t threads = 0;  ///< 0 = hardware concurrency
   std::size_t chunk = 0;    ///< lanes per batch chunk; 0 = auto
-  simd::SimdMode simd = simd::SimdMode::kOff;
 
   // --- inputs ------------------------------------------------------------
   std::string trace_dir;   ///< replay CSV traces (round-robin); empty = none
@@ -115,10 +113,5 @@ struct ScenarioSpec {
   /// std::invalid_argument when the file cannot be read.
   static ScenarioSpec from_json_file(const std::string& path);
 };
-
-/// Registry-facing names for SimdMode ("off" / "on" / "auto").
-const char* to_string(simd::SimdMode mode) noexcept;
-/// Inverse of to_string; throws std::invalid_argument on an unknown name.
-simd::SimdMode simd_mode_from_string(const std::string& name);
 
 }  // namespace fsc

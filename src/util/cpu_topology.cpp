@@ -1,4 +1,4 @@
-#include "util/cpu_features.hpp"
+#include "util/cpu_topology.hpp"
 
 #include <algorithm>
 #include <cstdio>
@@ -7,67 +7,9 @@
 #include <string>
 #include <thread>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <cpuid.h>
-#define FSC_CPU_X86 1
-#endif
-
 namespace fsc {
 
 namespace {
-
-#if defined(FSC_CPU_X86)
-
-/// XGETBV(0): which register states the OS restores on context switch.
-/// Bits 1 (XMM) and 2 (YMM) must both be set before AVX2 results are
-/// trustworthy; bits 5-7 (opmask/ZMM) gate AVX-512 the same way.
-unsigned long long xcr0() {
-  unsigned int eax = 0;
-  unsigned int edx = 0;
-  __asm__ volatile("xgetbv" : "=a"(eax), "=d"(edx) : "c"(0));
-  return (static_cast<unsigned long long>(edx) << 32) | eax;
-}
-
-CpuFeatures probe() {
-  CpuFeatures f;
-  unsigned int eax = 0;
-  unsigned int ebx = 0;
-  unsigned int ecx = 0;
-  unsigned int edx = 0;
-  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return f;
-  f.sse2 = (edx & (1u << 26)) != 0;
-  const bool osxsave = (ecx & (1u << 27)) != 0;
-  const bool cpu_fma = (ecx & (1u << 12)) != 0;
-  const bool cpu_avx = (ecx & (1u << 28)) != 0;
-
-  const unsigned long long x = osxsave ? xcr0() : 0;
-  const bool ymm_ok = (x & 0x6) == 0x6;         // XMM + YMM saved
-  const bool zmm_ok = ymm_ok && (x & 0xe0) == 0xe0;  // + opmask/ZMM
-
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
-    f.avx2 = cpu_avx && ymm_ok && (ebx & (1u << 5)) != 0;
-    f.avx512f = zmm_ok && (ebx & (1u << 16)) != 0;
-  }
-  f.fma = cpu_fma && f.avx2;  // only usable where the AVX2 kernel runs
-  return f;
-}
-
-#elif defined(__aarch64__)
-
-CpuFeatures probe() {
-  // Advanced SIMD (incl. fused multiply-add) is mandatory in AArch64; an
-  // auxv AT_HWCAP probe would only re-confirm it.
-  CpuFeatures f;
-  f.neon = true;
-  f.fma = true;
-  return f;
-}
-
-#else
-
-CpuFeatures probe() { return CpuFeatures{}; }
-
-#endif
 
 /// Parses the kernel's cpulist format ("0-3,8-11,15") into cpu ids.
 /// Returns an empty vector on any malformed input.
@@ -132,30 +74,6 @@ CpuTopology probe_topology() {
 }
 
 }  // namespace
-
-const CpuFeatures& cpu_features() noexcept {
-  static const CpuFeatures features = probe();
-  return features;
-}
-
-std::string cpu_features_line() {
-  const CpuFeatures& f = cpu_features();
-  std::string line;
-#if defined(FSC_CPU_X86)
-  line = "x86-64:";
-#elif defined(__aarch64__)
-  line = "aarch64:";
-#else
-  line = "unknown-arch:";
-#endif
-  if (f.sse2) line += " sse2";
-  if (f.avx2) line += " avx2";
-  if (f.fma) line += " fma";
-  if (f.avx512f) line += " avx512f";
-  if (f.neon) line += " neon";
-  if (!f.sse2 && !f.avx2 && !f.neon) line += " scalar-only";
-  return line;
-}
 
 const CpuTopology& cpu_topology() noexcept {
   static const CpuTopology topology = probe_topology();

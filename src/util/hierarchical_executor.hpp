@@ -23,7 +23,7 @@
 //                            run_groups callback
 //
 // Topology-aware placement: participants are assigned contiguous ranges
-// of the host's logical CPUs (NUMA node order from util/cpu_features'
+// of the host's logical CPUs (NUMA node order from util/cpu_topology's
 // cpu_topology()), so a group's members land on neighboring cores — and,
 // when groups line up with node boundaries, in one socket.  Spawned
 // threads pin themselves with pthread_setaffinity_np where available;
@@ -54,6 +54,7 @@
 #include <exception>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -63,7 +64,7 @@
 #include <sched.h>
 #endif
 
-#include "util/cpu_features.hpp"
+#include "util/cpu_topology.hpp"
 
 namespace fsc {
 
@@ -76,7 +77,9 @@ class HierarchicalExecutor {
   /// Spawn the team.  With `threads < groups` every group still gets one
   /// participant (its leader) — the team is `max(threads, groups)` wide.
   /// `pin` requests topology-aware placement for the spawned threads.
-  /// Throws std::invalid_argument when `groups` or `threads` is 0.
+  /// Throws std::invalid_argument when `groups` or `threads` is 0, and
+  /// std::runtime_error naming the worker when one cannot be started (the
+  /// threads already running are stopped and joined first).
   HierarchicalExecutor(std::size_t groups, std::size_t threads,
                        bool pin = true)
       : groups_(groups),
@@ -102,31 +105,29 @@ class HierarchicalExecutor {
     for (std::size_t p = 1; p < team_; ++p) {
       const std::size_t g = group_of(p);
       const int cpu = cpus.empty() ? -1 : cpus[p * cpus.size() / team_];
-      if (p == states_[g].begin) {
-        workers_.emplace_back([this, g, cpu] {
-          pin_self(cpu);
-          leader_loop(g);
-        });
-      } else {
-        workers_.emplace_back([this, g, p, cpu] {
-          pin_self(cpu);
-          member_loop(g, p);
-        });
+      try {
+        if (p == states_[g].begin) {
+          workers_.emplace_back([this, g, cpu] {
+            pin_self(cpu);
+            leader_loop(g);
+          });
+        } else {
+          workers_.emplace_back([this, g, p, cpu] {
+            pin_self(cpu);
+            member_loop(g, p);
+          });
+        }
+      } catch (const std::exception& e) {
+        stop_and_join();
+        throw std::runtime_error(
+            "HierarchicalExecutor: could not start worker " +
+            std::to_string(p) + " of " + std::to_string(team_ - 1) + ": " +
+            e.what());
       }
     }
   }
 
-  /// Releases every parked thread with a final epoch bump and joins them.
-  ~HierarchicalExecutor() {
-    stopping_.store(true, std::memory_order_release);
-    outer_epoch_.fetch_add(1, std::memory_order_release);
-    outer_epoch_.notify_all();
-    for (std::size_t g = 0; g < groups_; ++g) {
-      states_[g].epoch.fetch_add(1, std::memory_order_release);
-      states_[g].epoch.notify_all();
-    }
-    for (std::thread& worker : workers_) worker.join();
-  }
+  ~HierarchicalExecutor() { stop_and_join(); }
 
   HierarchicalExecutor(const HierarchicalExecutor&) = delete;
   HierarchicalExecutor& operator=(const HierarchicalExecutor&) = delete;
@@ -226,6 +227,18 @@ class HierarchicalExecutor {
     alignas(64) std::atomic<std::uint64_t> epoch{0};
     alignas(64) std::atomic<std::size_t> pending{0};
   };
+
+  /// Releases every parked thread with a final epoch bump and joins them.
+  void stop_and_join() noexcept {
+    stopping_.store(true, std::memory_order_release);
+    outer_epoch_.fetch_add(1, std::memory_order_release);
+    outer_epoch_.notify_all();
+    for (std::size_t g = 0; g < groups_; ++g) {
+      states_[g].epoch.fetch_add(1, std::memory_order_release);
+      states_[g].epoch.notify_all();
+    }
+    for (std::thread& worker : workers_) worker.join();
+  }
 
   std::size_t group_of(std::size_t p) const noexcept {
     // team_/groups_ are fixed at construction; ranges are contiguous and

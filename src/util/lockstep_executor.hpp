@@ -38,6 +38,7 @@
 #include <exception>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -50,7 +51,9 @@ namespace fsc {
 class LockstepExecutor {
  public:
   /// Spawn `threads - 1` persistent workers (the caller is participant 0).
-  /// Throws std::invalid_argument when `threads` is 0.
+  /// Throws std::invalid_argument when `threads` is 0, and
+  /// std::runtime_error naming the worker when one cannot be started (the
+  /// workers already running are stopped and joined first).
   explicit LockstepExecutor(std::size_t threads)
       : threads_(threads), errors_(threads) {
     if (threads_ == 0) {
@@ -58,17 +61,18 @@ class LockstepExecutor {
     }
     workers_.reserve(threads_ - 1);
     for (std::size_t p = 1; p < threads_; ++p) {
-      workers_.emplace_back([this, p] { worker_loop(p); });
+      try {
+        workers_.emplace_back([this, p] { worker_loop(p); });
+      } catch (const std::exception& e) {
+        stop_and_join();
+        throw std::runtime_error(
+            "LockstepExecutor: could not start worker " + std::to_string(p) +
+            " of " + std::to_string(threads_ - 1) + ": " + e.what());
+      }
     }
   }
 
-  /// Releases the parked workers with a final epoch bump and joins them.
-  ~LockstepExecutor() {
-    stopping_.store(true, std::memory_order_release);
-    epoch_.fetch_add(1, std::memory_order_release);
-    epoch_.notify_all();
-    for (std::thread& worker : workers_) worker.join();
-  }
+  ~LockstepExecutor() { stop_and_join(); }
 
   LockstepExecutor(const LockstepExecutor&) = delete;
   LockstepExecutor& operator=(const LockstepExecutor&) = delete;
@@ -118,6 +122,14 @@ class LockstepExecutor {
   }
 
  private:
+  /// Releases the parked workers with a final epoch bump and joins them.
+  void stop_and_join() noexcept {
+    stopping_.store(true, std::memory_order_release);
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
+    for (std::thread& worker : workers_) worker.join();
+  }
+
   /// Contiguous shard of participant p over `count_` indices:
   /// [count*p/P, count*(p+1)/P) — balanced to within one index.
   void run_shard(std::size_t p) noexcept {

@@ -8,21 +8,12 @@
 
 namespace fsc {
 
-namespace {
-
-std::size_t sample_count(double duration_s, double period_s) {
-  require(duration_s > 0.0, "synthetic workload: duration must be > 0");
-  require(period_s > 0.0, "synthetic workload: sample period must be > 0");
-  return static_cast<std::size_t>(std::ceil(duration_s / period_s));
-}
-
-}  // namespace
-
 std::unique_ptr<SampledWorkload> make_square_noise_workload(
     const SquareNoiseParams& params, Rng& rng) {
   require(params.phase_s >= 0.0, "synthetic workload: phase must be >= 0");
   const SquareWaveWorkload square(params.low, params.high, params.period_s);
-  const std::size_t n = sample_count(params.duration_s, params.sample_period_s);
+  const std::size_t n = sample_count(params.duration_s, params.sample_period_s,
+                                     "synthetic workload");
   std::vector<double> samples;
   samples.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -37,7 +28,9 @@ std::unique_ptr<SampledWorkload> make_square_noise_workload(
 std::unique_ptr<SampledWorkload> make_spiky_workload(const SpikyParams& params,
                                                      Rng& rng) {
   auto base = make_square_noise_workload(params.base, rng);
-  const std::size_t n = sample_count(params.base.duration_s, params.base.sample_period_s);
+  const std::size_t n = sample_count(params.base.duration_s,
+                                     params.base.sample_period_s,
+                                     "synthetic workload");
   std::vector<double> samples;
   samples.reserve(n);
   // Draw Poisson spike arrival times over the whole duration first so the
@@ -69,7 +62,8 @@ std::unique_ptr<SampledWorkload> make_spiky_workload(const SpikyParams& params,
 std::unique_ptr<SampledWorkload> make_diurnal_workload(const DiurnalParams& params,
                                                        Rng& rng) {
   require(params.peak >= params.base, "diurnal workload: peak must be >= base");
-  const std::size_t n = sample_count(params.duration_s, params.sample_period_s);
+  const std::size_t n = sample_count(params.duration_s, params.sample_period_s,
+                                     "synthetic workload");
   std::vector<double> samples;
   samples.reserve(n);
   const double mid = 0.5 * (params.base + params.peak);

@@ -1,6 +1,8 @@
 #include "workload/trace.hpp"
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "util/units.hpp"
 
@@ -23,6 +25,25 @@ double SquareWaveWorkload::demand(double t) const {
   if (t < 0.0) t = 0.0;
   const double phase = std::fmod(t, period_s_);
   return phase < 0.5 * period_s_ ? low_ : high_;
+}
+
+std::size_t sample_count(double duration_s, double period_s,
+                         const std::string& who) {
+  // Messages are built only on failure: this runs once per workload, and a
+  // facility builds 100k of them.
+  if (!(duration_s > 0.0)) {
+    throw std::invalid_argument(who + ": duration must be > 0");
+  }
+  if (!(period_s > 0.0)) {
+    throw std::invalid_argument(who + ": sample period must be > 0");
+  }
+  const double n = std::ceil(duration_s / period_s);
+  // 2^digits is exact in a double; inf fails the comparison too.
+  if (!(n < std::ldexp(1.0, std::numeric_limits<std::size_t>::digits))) {
+    throw std::invalid_argument(
+        who + ": duration / sample period gives too many samples");
+  }
+  return static_cast<std::size_t>(n);
 }
 
 SampledWorkload::SampledWorkload(std::vector<double> samples, double sample_period_s)

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace fsc {
@@ -80,6 +81,13 @@ class SquareWaveWorkload final : public Workload {
   double high_;
   double period_s_;
 };
+
+/// ceil(duration_s / period_s), the number of samples that cover
+/// `duration_s`.  Throws std::invalid_argument, prefixed with `who`, unless
+/// both are > 0 and the count fits in a std::size_t (1e300 s at 1 s would
+/// otherwise reach an undefined float-to-integer cast).
+std::size_t sample_count(double duration_s, double period_s,
+                         const std::string& who);
 
 /// A pre-sampled trace: utilization samples at a fixed period, with
 /// zero-order hold between samples and the last sample held forever.

@@ -190,11 +190,10 @@ std::vector<double> synthesize_samples(const TraceFit& fit,
 std::shared_ptr<const SampledWorkload> synthesize_workload(const TraceFit& fit,
                                                            double duration_s,
                                                            std::uint64_t seed) {
-  require(duration_s > 0.0, "synthesize_workload: duration must be > 0");
   require(fit.sample_period_s > 0.0,
           "synthesize_workload: fit must come from fit_trace");
-  const auto n = static_cast<std::size_t>(
-      std::ceil(duration_s / fit.sample_period_s));
+  const std::size_t n =
+      sample_count(duration_s, fit.sample_period_s, "synthesize_workload");
   return std::make_shared<SampledWorkload>(
       synthesize_samples(fit, n == 0 ? 1 : n, seed), fit.sample_period_s);
 }

@@ -14,12 +14,11 @@ namespace fsc {
 
 std::string workload_to_csv(const Workload& w, double duration_s,
                             double sample_period_s) {
-  require(duration_s > 0.0, "workload_to_csv: duration must be > 0");
-  require(sample_period_s > 0.0, "workload_to_csv: sample period must be > 0");
+  const std::size_t n =
+      sample_count(duration_s, sample_period_s, "workload_to_csv");
   std::ostringstream out;
   CsvWriter csv(out, 9);
   csv.header({"time", "utilization"});
-  const auto n = static_cast<std::size_t>(std::ceil(duration_s / sample_period_s));
   for (std::size_t i = 0; i < n; ++i) {
     const double t = static_cast<double>(i) * sample_period_s;
     csv.row({t, w.demand(t)});

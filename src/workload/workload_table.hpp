@@ -3,7 +3,7 @@
 // In the per-lane path every CPU control period costs each slot a virtual
 // Workload::demand(t) through a shared_ptr — at the facility tier that is
 // ~100k indirect calls + control-block pointer chases per round before the
-// SIMD plant kernel even starts.  The table resolves each batch lane ONCE
+// plant kernel even starts.  The table resolves each batch lane ONCE
 // (at build time) to a raw (sample pointer, count, period) triple and then
 // fills a whole contiguous lane range per period with one tight indexed-
 // gather loop: no virtual dispatch, no shared_ptr traffic, just

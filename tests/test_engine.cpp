@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/policy_factory.hpp"
@@ -205,6 +206,12 @@ TEST(SimulationEngine, ValidatesParams) {
   p = SimulationParams{};
   p.duration_s = 0.0;
   EXPECT_THROW(SimulationEngine{p}, std::invalid_argument);
+  // The period count must fit in a long before the cast, not after.
+  for (double duration_s : {1e300, std::numeric_limits<double>::infinity()}) {
+    p = SimulationParams{};
+    p.duration_s = duration_s;
+    EXPECT_THROW(SimulationEngine{p}, std::invalid_argument) << duration_s;
+  }
 }
 
 TEST(SimulationEngine, RejectsNullSink) {

@@ -21,6 +21,7 @@
 #include "facility/facility_engine.hpp"
 #include "room/room_engine.hpp"
 #include "sim/scenario.hpp"
+#include "spawn_failure.hpp"
 #include "util/hierarchical_executor.hpp"
 #include "util/rng.hpp"
 
@@ -32,6 +33,18 @@ namespace {
 TEST(HierarchicalExecutor, ValidatesConstruction) {
   EXPECT_THROW(HierarchicalExecutor(0, 1), std::invalid_argument);
   EXPECT_THROW(HierarchicalExecutor(1, 0), std::invalid_argument);
+}
+
+TEST(HierarchicalExecutor, AWorkerThatCannotStartIsANamedError) {
+  // Same contract as the flat executor: the threads already started are
+  // stopped and joined, and the constructor throws naming the worker.
+  if (!test::spawn_failure_supported()) {
+    GTEST_SKIP() << "needs Linux RLIMIT_AS without a sanitizer runtime";
+  }
+  EXPECT_EXIT(test::construct_with_capped_address_space(
+                  [] { HierarchicalExecutor exec(4, 4096, /*pin=*/false); }),
+              testing::ExitedWithCode(0),
+              "HierarchicalExecutor: could not start worker [0-9]+ of 4095: ");
 }
 
 TEST(HierarchicalExecutor, TeamCoversEveryGroup) {

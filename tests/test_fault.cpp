@@ -2,8 +2,8 @@
 // no faults armed is EXPECT_EQ-identical to a build without the fault
 // layer, across thread counts and chunk sizes), determinism of faulted
 // runs under the same sweeps, every batched lane — faulted or not —
-// against its slot simulated alone with the same faults, faulted lanes on
-// the vector kernel, FaultPlan JSON rejection of malformed events,
+// against its slot simulated alone with the same faults, FaultPlan JSON
+// rejection of malformed events,
 // component fault modes (sensor stuck / dropped / noisy, fan degraded /
 // seized), blackout freezing at the barrier, the failsafe coordinator and
 // room scheduler responses, the seeded scenario generator round-trip, and
@@ -28,7 +28,6 @@
 #include "sim/server.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
-#include "util/ulp.hpp"
 #include "workload/predictor.hpp"
 
 namespace fsc {
@@ -367,44 +366,6 @@ TEST(FaultInjection, EveryLaneMatchesItsScalarRunUnderFaults) {
         EXPECT_EQ(faulted.slots[i].deadline_violations,
                   alone[i].deadline.violations());
       }
-    }
-  }
-}
-
-TEST(FaultInjection, FaultedLanesRunTheVectorKernel) {
-  // With --simd on, faulted lanes take the vector kernel like healthy ones
-  // — degraded drives, a seized rotor's infinite slew — at the width
-  // FSC_SIMD pins.  At a fixed width the run is bit-stable across chunks
-  // and threads, and it tracks the reference path within the kernel's ULP
-  // bounds: every discrete outcome equal, energies and temperatures close.
-  CoupledRackParams p = small_params();
-  p.coordinator = "independent";
-  p.plenum_enabled = false;
-  p.faults = every_kind_plan();
-  const CoupledRackResult ref = CoupledRackEngine(p, 1).run();
-  p.simd = simd::SimdMode::kOn;
-  const CoupledRackResult vec = CoupledRackEngine(p, 1).run();
-  constexpr std::uint64_t kUlp = 1u << 20;
-  constexpr double kAbs = 1e-5;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    SCOPED_TRACE(testing::Message() << "slot=" << i);
-    EXPECT_EQ(vec.slots[i].deadline_violations, ref.slots[i].deadline_violations);
-    EXPECT_TRUE(within_ulp_or_abs(vec.slots[i].result.fan_energy_joules,
-                                  ref.slots[i].result.fan_energy_joules, kUlp,
-                                  kAbs));
-    EXPECT_TRUE(within_ulp_or_abs(vec.slots[i].result.cpu_energy_joules,
-                                  ref.slots[i].result.cpu_energy_joules, kUlp,
-                                  kAbs));
-    EXPECT_TRUE(within_ulp_or_abs(vec.slots[i].result.max_junction_celsius,
-                                  ref.slots[i].result.max_junction_celsius,
-                                  kUlp, kAbs));
-  }
-  for (std::size_t threads : {1u, 2u}) {
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
-      p.chunk = chunk;
-      SCOPED_TRACE(testing::Message()
-                   << "threads=" << threads << " chunk=" << chunk);
-      expect_identical(vec, CoupledRackEngine(p, threads).run());
     }
   }
 }

@@ -210,6 +210,20 @@ std::string rack_8_fault_kinds() {
   return CoupledRackEngine(s.build_rack(), s.threads).run().to_json();
 }
 
+// The power-aware scheduler over racks whose slots share one fan zone: the
+// room migrates demand under its budget while each rack drives a common fan.
+std::string room_4x8_power_aware_shared_fan_zone() {
+  ScenarioSpec s;
+  s.racks = 4;
+  s.slots = 8;
+  s.seed = 1010;
+  s.duration_s = 900.0;
+  s.scheduler = "power-aware";
+  s.coordinator = "shared-fan-zone";
+  s.threads = 2;
+  return RoomEngine(s.build_room(), s.threads).run().to_json();
+}
+
 struct Scenario {
   const char* name;
   std::string (*report)();
@@ -225,6 +239,8 @@ constexpr Scenario kScenarios[] = {
     {"room-3x8-faulted-failsafe", room_faulted_failsafe},
     {"rack-8-sensor-0.73s", rack_sensor_off_period},
     {"rack-8-fault-kinds", rack_8_fault_kinds},
+    {"room-4x8-power-aware-shared-fan-zone",
+     room_4x8_power_aware_shared_fan_zone},
 };
 
 // ------------------------------------------------------------ digest file

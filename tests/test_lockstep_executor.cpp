@@ -1,7 +1,7 @@
 // LockstepExecutor unit tests: contiguous pre-assigned shard spans,
 // exactly-once execution, epoch/barrier reuse across thousands of rounds,
-// exception propagation (and survival), caller participation, and a
-// determinism stress over 1/2/8 threads.
+// exception propagation (and survival), a worker that cannot start,
+// caller participation, and a determinism stress over 1/2/8 threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "spawn_failure.hpp"
 #include "util/lockstep_executor.hpp"
 
 namespace fsc {
@@ -20,6 +21,19 @@ namespace {
 
 TEST(LockstepExecutor, RejectsZeroThreads) {
   EXPECT_THROW(LockstepExecutor(0), std::invalid_argument);
+}
+
+TEST(LockstepExecutor, AWorkerThatCannotStartIsANamedError) {
+  // A thread that fails to spawn mid-constructor must not std::terminate
+  // on the joinable workers already started: they are stopped and joined,
+  // and the constructor throws naming the worker.
+  if (!test::spawn_failure_supported()) {
+    GTEST_SKIP() << "needs Linux RLIMIT_AS without a sanitizer runtime";
+  }
+  EXPECT_EXIT(test::construct_with_capped_address_space(
+                  [] { LockstepExecutor exec(4096); }),
+              testing::ExitedWithCode(0),
+              "LockstepExecutor: could not start worker [0-9]+ of 4095: ");
 }
 
 TEST(LockstepExecutor, ReportsSize) {

@@ -320,8 +320,7 @@ TEST(ObsTrace, ScopedSpanOnNullRecorderIsNoOp) {
 
 TEST(ObsManifest, CollectsAndSerializesValidJson) {
   obs::RunManifest m = obs::RunManifest::collect();
-  EXPECT_FALSE(m.cpu_features.empty());
-  EXPECT_FALSE(m.simd_dispatch.empty());
+  EXPECT_FALSE(m.git_describe.empty());
   m.threads = 4;
   m.seed = 99;
   m.command = "fsc --racks 4 \"quoted\"";

@@ -150,7 +150,6 @@ ScenarioSpec fancy_spec() {
   spec.cross_plenum = false;
   spec.threads = 4;
   spec.chunk = 2;
-  spec.simd = simd::SimdMode::kAuto;
   spec.trace_dir = "traces/";
   spec.faults.events.push_back(
       {FaultKind::kSensorNoisy, 1, 3, 120.0, 60.0, 3.0});
@@ -182,7 +181,8 @@ TEST(ScenarioSpec, RemovedExecutionKeysAreRejectedByName) {
   // The execution path follows the input, so these former A/B switches
   // are unknown keys now: a file that still sets one must fail, naming
   // the key, rather than silently run something else.
-  for (const char* key : {"batched", "executor", "gather", "two_level"}) {
+  for (const char* key :
+       {"batched", "executor", "gather", "two_level", "simd"}) {
     SCOPED_TRACE(key);
     const std::string text = std::string("{\"") + key + "\": false}";
     try {
@@ -208,8 +208,6 @@ TEST(ScenarioSpec, MalformedValuesThrow) {
                std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::from_json_text(R"({"racks": 1e999})"),
                std::invalid_argument);
-  EXPECT_THROW(ScenarioSpec::from_json_text(R"({"simd": "wide"})"),
-               std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::from_json_text("[]"), std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::from_json_text("{"), std::invalid_argument);
 }
@@ -228,12 +226,42 @@ TEST(ScenarioSpec, FromJsonFileRoundTrip) {
                std::invalid_argument);
 }
 
-TEST(SimdModeNames, RoundTrip) {
-  for (simd::SimdMode mode :
-       {simd::SimdMode::kOff, simd::SimdMode::kOn, simd::SimdMode::kAuto}) {
-    EXPECT_EQ(simd_mode_from_string(to_string(mode)), mode);
+TEST(ScenarioSpec, NonFiniteNumbersAreRejectedByName) {
+  // 1e999 parses to inf; every double knob refuses it, naming the key,
+  // as the CLI flags already do.
+  for (const char* key :
+       {"duration_s", "rack_budget_watts", "room_budget_watts",
+        "migration_step", "plant_capacity_watts", "supply_amplitude_c",
+        "supply_period_s", "facility_period_s"}) {
+    SCOPED_TRACE(key);
+    for (const char* value : {"1e999", "-1e999"}) {
+      const std::string text =
+          std::string("{\"") + key + "\": " + value + "}";
+      try {
+        (void)ScenarioSpec::from_json_text(text);
+        ADD_FAILURE() << "accepted " << text;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
   }
-  EXPECT_THROW(simd_mode_from_string("wide"), std::invalid_argument);
+}
+
+TEST(ScenarioSpec, HugeDurationIsRejectedBeforeSampling) {
+  // Finite but far past any sample count: the workload generator must
+  // refuse it by name instead of casting 1e300 samples to an integer.
+  const ScenarioSpec spec =
+      ScenarioSpec::from_json_text(R"({"duration_s": 1e300})");
+  try {
+    (void)CoupledRackEngine(spec.build_rack(), 1).run();
+    ADD_FAILURE() << "ran a 1e300 s rack";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("too many samples"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------------- util/json parser

@@ -615,6 +615,8 @@ TEST(TraceFit, SeededVariantsAreDeterministicAndDistinct) {
   const auto w = synthesize_workload(fit, 86400.0, 7);
   EXPECT_EQ(w->size(), static_cast<std::size_t>(std::ceil(86400.0 / 300.0)));
   EXPECT_DOUBLE_EQ(w->sample_period(), 300.0);
+  // A sample count past std::size_t is refused before the cast.
+  EXPECT_THROW((void)synthesize_workload(fit, 1e300, 7), std::invalid_argument);
 }
 
 TEST(TraceFit, BurstyTraceKeepsBurstMass) {

@@ -5,9 +5,11 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/statistics.hpp"
@@ -160,6 +162,47 @@ TEST(Diurnal, RejectsPeakBelowBase) {
   EXPECT_THROW(make_diurnal_workload(p, rng), std::invalid_argument);
 }
 
+TEST(Synthetic, RejectsSampleCountsPastSizeT) {
+  // ceil(1e300 / 1 s) does not fit in a std::size_t; the cast would be
+  // undefined, so every generator must refuse it by name first.
+  const auto too_many = [](auto make) {
+    Rng rng(6);
+    try {
+      (void)make(rng);
+      ADD_FAILURE() << "accepted a sample count past std::size_t";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("too many samples"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  too_many([](Rng& rng) {
+    SquareNoiseParams p;
+    p.duration_s = 1e300;
+    return make_square_noise_workload(p, rng);
+  });
+  too_many([](Rng& rng) {
+    SpikyParams p;
+    p.base.duration_s = 1e300;
+    return make_spiky_workload(p, rng);
+  });
+  too_many([](Rng& rng) {
+    DiurnalParams p;
+    p.duration_s = 1e300;
+    return make_diurnal_workload(p, rng);
+  });
+  too_many([](Rng& rng) {
+    SquareNoiseParams p;
+    p.duration_s = std::numeric_limits<double>::infinity();
+    return make_square_noise_workload(p, rng);
+  });
+  too_many([](Rng& rng) {
+    SquareNoiseParams p;
+    p.sample_period_s = 1e-300;
+    return make_square_noise_workload(p, rng);
+  });
+}
+
 TEST(StepWorkload, SwitchesAtStepTime) {
   const auto w = make_step_workload(0.1, 0.7, 30.0);
   EXPECT_DOUBLE_EQ(w->demand(29.9), 0.1);
@@ -234,6 +277,23 @@ TEST(TraceIo, RoundTripPreservesSamples) {
   for (double t = 0.0; t < 8.0; t += 0.5) {
     EXPECT_DOUBLE_EQ(loaded->demand(t), original.demand(t)) << "t=" << t;
   }
+}
+
+TEST(TraceIo, ToCsvRejectsSampleCountsPastSizeT) {
+  const SampledWorkload w({0.5}, 1.0);
+  for (double duration_s :
+       {1e300, std::numeric_limits<double>::infinity()}) {
+    try {
+      (void)workload_to_csv(w, duration_s, 1.0);
+      ADD_FAILURE() << "accepted duration " << duration_s;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("workload_to_csv"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)workload_to_csv(w, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)workload_to_csv(w, 1.0, 0.0), std::invalid_argument);
 }
 
 TEST(TraceIo, RejectsNonUniformSpacing) {

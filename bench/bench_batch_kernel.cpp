@@ -79,7 +79,7 @@ struct Fleet {
       rngs.push_back(std::make_unique<Rng>(derive_seed(42, i)));
       servers.push_back(std::make_unique<Server>(params, 2000.0, *rngs.back()));
       batch.add_server(*servers.back());
-      accounts.add_lane(*servers.back(), nullptr);
+      accounts.add_lane(*servers.back());
     }
     set_inputs(3000.0);
   }

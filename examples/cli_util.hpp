@@ -5,7 +5,7 @@
 // engine params does not belong in examples/.
 //
 // Numbers are parsed whole: "60s", "12kW" or "abc" is an error naming the
-// flag, never a silently truncated value.
+// flag (or positional argument), never a silently truncated value.
 #pragma once
 
 #include <charconv>
@@ -60,6 +60,15 @@ inline bool parse_positive(const char* text, std::size_t& out) {
   if (!parse_unsigned(text, v) || v == 0) return false;
   out = v;
   return true;
+}
+
+/// The error for a positional argument that does not parse, or parses out
+/// of range; names it the way consume_scenario_flag names a flag.
+inline std::invalid_argument bad_positional(const char* name,
+                                            const char* expected,
+                                            const char* got) {
+  return std::invalid_argument(std::string(name) + ": expected " + expected +
+                               ", got '" + got + "'");
 }
 
 /// Outcome of offering one argv slot to the scenario-flag parser.

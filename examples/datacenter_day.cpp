@@ -7,20 +7,23 @@
 // power only when the workload needs cooling.
 //
 // Usage: datacenter_day [seed]
-#include <cstdlib>
+#include <exception>
 #include <iomanip>
 #include <iostream>
 #include <memory>
 
+#include "cli_util.hpp"
 #include "core/policy_factory.hpp"
 #include "core/solutions.hpp"
 #include "sim/simulation.hpp"
 #include "workload/synthetic.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fsc;
   std::uint64_t seed = 99;
-  if (argc > 1) seed = static_cast<std::uint64_t>(std::atoll(argv[1]));
+  if (argc > 1 && !fsc_cli::parse_unsigned(argv[1], seed)) {
+    throw fsc_cli::bad_positional("seed", "a non-negative integer", argv[1]);
+  }
 
   Rng rng(seed);
   DiurnalParams wl;  // trough 0.15 overnight, peak 0.85 mid-day
@@ -76,4 +79,7 @@ int main(int argc, char** argv) {
   std::cout << "fan energy saved: " << 100.0 * saved / fixed.fan_energy_joules
             << " % (" << saved / 1000.0 << " kJ per server-day)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "datacenter_day: " << e.what() << "\n";
+  return 1;
 }

@@ -4,23 +4,23 @@
 // workload, and print a summary.
 //
 // Usage: quickstart [duration_seconds]
-#include <cstdlib>
+#include <exception>
 #include <iostream>
 
+#include "cli_util.hpp"
 #include "core/policy_factory.hpp"
 #include "core/solutions.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulation.hpp"
 #include "workload/synthetic.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fsc;
 
   double duration = 1800.0;
-  if (argc > 1) duration = std::atof(argv[1]);
-  if (duration <= 0.0) {
-    std::cerr << "duration must be positive\n";
-    return 1;
+  if (argc > 1 && !(fsc_cli::parse_double(argv[1], duration) && duration > 0.0)) {
+    throw fsc_cli::bad_positional("duration", "a positive number of seconds",
+                                  argv[1]);
   }
 
   // 1. The plant: a Table I enterprise server with the non-ideal sensing
@@ -65,4 +65,7 @@ int main(int argc, char** argv) {
   std::cout << "mean fan speed        : " << result.fan_speed_stats.mean()
             << " rpm\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "quickstart: " << e.what() << "\n";
+  return 1;
 }

@@ -7,28 +7,31 @@
 //
 // With no arguments, a demonstration trace is generated, played, and both
 // files are written to the current directory.
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "cli_util.hpp"
 #include "core/solutions.hpp"
 #include "sim/simulation.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/trace_io.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fsc;
 
   std::string input = argc > 1 ? argv[1] : "";
-  const int solution_idx = argc > 2 ? std::atoi(argv[2]) : 4;
+  std::size_t solution_idx = 4;
   const std::string output = argc > 3 ? argv[3] : "trace_player_output.csv";
 
-  if (solution_idx < 0 || solution_idx > 4) {
-    std::cerr << "solution index must be 0..4:\n";
+  if (argc > 2 && !(fsc_cli::parse_unsigned(argv[2], solution_idx) &&
+                    solution_idx < all_solutions().size())) {
     for (SolutionKind k : all_solutions()) {
       std::cerr << "  " << static_cast<int>(k) << " = " << to_string(k) << "\n";
     }
-    return 1;
+    throw fsc_cli::bad_positional("solution", "an index 0..4 (listed above)",
+                                  argv[2]);
   }
 
   Rng rng(7);
@@ -51,7 +54,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto kind = all_solutions()[static_cast<std::size_t>(solution_idx)];
+  const auto kind = all_solutions()[solution_idx];
   SolutionConfig cfg;
   const auto policy = make_solution(kind, cfg);
   Server server(ServerParams{}, cfg.initial_fan_rpm, rng);
@@ -80,4 +83,7 @@ int main(int argc, char** argv) {
             << " kJ\n";
   std::cout << "max junction      : " << result.junction_stats.max() << " degC\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "trace_player: " << e.what() << "\n";
+  return 1;
 }

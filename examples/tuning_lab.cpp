@@ -6,22 +6,23 @@
 // SolutionConfig::default_gain_schedule() from first principles.
 //
 // Usage: tuning_lab [region_rpm ...]   (default: 2000 6000)
-#include <cstdlib>
+#include <exception>
 #include <iomanip>
 #include <iostream>
 #include <vector>
 
+#include "cli_util.hpp"
 #include "sim/zn_harness.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fsc;
 
   std::vector<double> regions;
   for (int i = 1; i < argc; ++i) {
-    const double rpm = std::atof(argv[i]);
-    if (rpm <= 0.0) {
-      std::cerr << "bad region speed: " << argv[i] << "\n";
-      return 1;
+    double rpm = 0.0;
+    if (!(fsc_cli::parse_double(argv[i], rpm) && rpm > 0.0)) {
+      throw fsc_cli::bad_positional("region_rpm", "a positive fan speed in rpm",
+                                    argv[i]);
     }
     regions.push_back(rpm);
   }
@@ -64,4 +65,7 @@ int main(int argc, char** argv) {
   std::cout << "\nPaste into SolutionConfig::default_gain_schedule() as\n"
                "GainRegion{<region>, PidGains{KP, KI, KD}} entries.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "tuning_lab: " << e.what() << "\n";
+  return 1;
 }

@@ -1,33 +1,22 @@
 #include "batch/lane_accounting.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "batch/server_batch.hpp"
-#include "sim/instrumentation.hpp"
 #include "sim/server.hpp"
 
 namespace fsc {
 
-std::size_t LaneAccounting::add_lane(Server& server,
-                                     ThermalViolationSink* thermal) {
+std::size_t LaneAccounting::add_lane(Server& server) {
   servers_.push_back(&server);
-  thermal_.push_back(thermal);
   loaded_.push_back(0);
-  phase_.push_back(server.sensor_chain().phase());
   sample_period_.push_back(server.sensor_chain().params().sample_period_s);
-  cpu_joules_.push_back(0.0);
-  fan_joules_.push_back(0.0);
-  elapsed_s_.push_back(0.0);
-  const RunningStats::State empty;
-  count_.push_back(0.0);
-  mean_.push_back(empty.mean);
-  m2_.push_back(empty.m2);
-  sum_.push_back(empty.sum);
-  min_.push_back(empty.min);
-  max_.push_back(empty.max);
-  violation_s_.push_back(0.0);
-  limit_c_.push_back(std::numeric_limits<double>::infinity());
+  // Placeholders: load() fills every accumulator at the period start.
+  for (LaneVector<double>* lane :
+       {&phase_, &cpu_joules_, &fan_joules_, &elapsed_s_, &count_, &mean_,
+        &m2_, &sum_, &min_, &max_, &violation_s_, &limit_c_}) {
+    lane->push_back(0.0);
+  }
   return size() - 1;
 }
 
@@ -38,17 +27,16 @@ void LaneAccounting::load(std::size_t i) {
   cpu_joules_[i] = energy.cpu_energy();
   fan_joules_[i] = energy.fan_energy();
   elapsed_s_[i] = energy.elapsed();
-  if (const ThermalViolationSink* thermal = thermal_[i]) {
-    const RunningStats::State s = thermal->junction_stats().state();
-    count_[i] = static_cast<double>(s.n);
-    mean_[i] = s.mean;
-    m2_[i] = s.m2;
-    sum_[i] = s.sum;
-    min_[i] = s.min;
-    max_[i] = s.max;
-    violation_s_[i] = thermal->violation_time_s();
-    limit_c_[i] = thermal->limit_celsius();
-  }
+  const JunctionMeter& junction = server.junction();
+  const RunningStats::State s = junction.stats().state();
+  count_[i] = static_cast<double>(s.n);
+  mean_[i] = s.mean;
+  m2_[i] = s.m2;
+  sum_[i] = s.sum;
+  min_[i] = s.min;
+  max_[i] = s.max;
+  violation_s_[i] = junction.violation_time_s();
+  limit_c_[i] = junction.limit_celsius();
   loaded_[i] = 1;
 }
 
@@ -73,8 +61,7 @@ void LaneAccounting::account_range(const ServerBatch& batch, std::size_t lo,
 
   // The fused hot pass.  Each statement is the scalar path's expression
   // for the same quantity: EnergyMeter::accumulate, RunningStats::add,
-  // ThermalViolationSink::on_physics_step, and SensorChain::observe's
-  // phase accumulation.
+  // JunctionMeter::add, and SensorChain::observe's phase accumulation.
   int due = 0;
   for (std::size_t i = lo; i < hi; ++i) {
     const double tj = t_j[i];
@@ -114,16 +101,14 @@ void LaneAccounting::store(std::size_t i, const ServerBatch& batch) {
                            batch.junction_celsius(i));
   server.sensor_chain().set_phase(phase_[i]);
   server.energy_meter().restore(cpu_joules_[i], fan_joules_[i], elapsed_s_[i]);
-  if (ThermalViolationSink* thermal = thermal_[i]) {
-    RunningStats::State s;
-    s.n = static_cast<std::size_t>(count_[i]);
-    s.mean = mean_[i];
-    s.m2 = m2_[i];
-    s.sum = sum_[i];
-    s.min = min_[i];
-    s.max = max_[i];
-    thermal->restore(s, violation_s_[i]);
-  }
+  RunningStats::State s;
+  s.n = static_cast<std::size_t>(count_[i]);
+  s.mean = mean_[i];
+  s.m2 = m2_[i];
+  s.sum = sum_[i];
+  s.min = min_[i];
+  s.max = max_[i];
+  server.junction_meter().restore(s, violation_s_[i]);
   loaded_[i] = 0;
 }
 

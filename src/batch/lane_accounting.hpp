@@ -1,31 +1,29 @@
 // Per-substep accounting in SoA lanes: the companion block to ServerBatch
-// that owns everything the simulator observes on every physics substep —
-// the quantities Kim et al. judge a controller by (paper Table III):
+// that owns everything the Server meters on every physics substep — the
+// quantities Kim et al. judge a controller by (paper Table III):
 //
 //   * the SensorChain's sample phase (the lagged, quantized measurement is
 //     sampled every sample_period, not every substep);
 //   * the EnergyMeter's cpu / fan / elapsed integrals;
-//   * the ThermalViolationSink's Welford junction statistics (n, mean, m2,
-//     sum, min, max) and its time above the junction limit.
+//   * the JunctionMeter's Welford junction statistics (n, mean, m2, sum,
+//     min, max) and its time above the junction limit.
 //
 // Life cycle per control period, per lane:
 //
-//   load(i)                 objects -> lanes, at the period start;
+//   load(i)                 Server -> lanes, at the period start;
 //   account_range(lo, hi)   after each ServerBatch::step_range: one fused,
 //                           branch-light pass over the range; a lane whose
 //                           phase crosses a sample instant calls the
 //                           sensor's cold SensorChain::take_sample, in
 //                           lane order, with the same RNG draws as the
 //                           scalar SensorChain::observe;
-//   store(i)                lanes -> objects at the period end, plus the
-//                           actuator and thermal state mirrored into the
-//                           Server once.
+//   store(i)                lanes -> Server at the period end: its meters,
+//                           sensor phase, and actuator and thermal state.
 //
 // Every lane update is the same expression, in the same per-lane order, as
-// the scalar path's Server::step + ThermalViolationSink::on_physics_step,
-// so the Server, its meters and the sink are bit-identical to a scalar run
-// at every period boundary — which is all any observer (policy, trace
-// record, coordinator, report) ever reads.
+// the scalar Server::step, so the Server and its meters are bit-identical
+// to a scalar run at every period boundary — which is all any observer
+// (policy, sink, trace record, coordinator, report) ever reads.
 //
 // Threading: lanes are independent.  Disjoint ranges may be accounted and
 // loaded/stored concurrently; every lane array is a LaneVector, so chunks
@@ -42,21 +40,19 @@ namespace fsc {
 
 class Server;
 class ServerBatch;
-class ThermalViolationSink;
 
 /// Sensor phase, energy and junction statistics for N lanes.
 class LaneAccounting {
  public:
   /// Register the next lane (its index is the previous size()): the
-  /// server whose sensor and energy meter it accounts, and the slot's
-  /// ThermalViolationSink (null = no junction statistics are kept).  Both
-  /// are borrowed and must outlive the accounting.  Lane i must be lane i
-  /// of the ServerBatch passed to account_range() and store().
-  std::size_t add_lane(Server& server, ThermalViolationSink* thermal);
+  /// server whose sensor, energy and junction meters it accounts.
+  /// Borrowed; must outlive the accounting.  Lane i must be lane i of the
+  /// ServerBatch passed to account_range() and store().
+  std::size_t add_lane(Server& server);
 
   std::size_t size() const noexcept { return servers_.size(); }
 
-  /// Period start: copy lane i's accumulators in from its objects and mark
+  /// Period start: copy lane i's accumulators in from its Server and mark
   /// it loaded.
   void load(std::size_t i);
   bool loaded(std::size_t i) const noexcept { return loaded_[i] != 0; }
@@ -68,13 +64,12 @@ class LaneAccounting {
   void account_range(const ServerBatch& batch, std::size_t lo, std::size_t hi,
                      double dt);
 
-  /// Period end: write lane i back into its objects, mirror `batch`'s
-  /// actuator and thermal state into the Server, and unload the lane.
+  /// Period end: write lane i back into its Server's meters, mirror
+  /// `batch`'s actuator and thermal state into it, and unload the lane.
   void store(std::size_t i, const ServerBatch& batch);
 
  private:
   std::vector<Server*> servers_;
-  std::vector<ThermalViolationSink*> thermal_;
 
   LaneVector<std::uint64_t> loaded_;  ///< 8-byte flags: one lane, one slot
   LaneVector<double> phase_;          ///< SensorChain time since last sample

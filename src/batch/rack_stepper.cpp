@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/instrumentation.hpp"
 #include "sim/server.hpp"
 #include "util/units.hpp"
 #include "workload/workload_table.hpp"
@@ -18,25 +17,9 @@ void RackBatchStepper::add_slot(SimulationEngine::Session& session,
                     slots_.front().session->physics_per_period(),
             "RackBatchStepper: all slots must share the physics timing");
   }
-  ThermalViolationSink* thermal = nullptr;
-  for (InstrumentationSink* sink : session.sinks()) {
-    if (auto* t = dynamic_cast<ThermalViolationSink*>(sink)) {
-      require(thermal == nullptr,
-              "RackBatchStepper::add_slot: at most one ThermalViolationSink "
-              "per session is lane-accounted");
-      thermal = t;
-      continue;
-    }
-    require(!sink->observes_physics_steps(),
-            "RackBatchStepper::add_slot: a sink attached to this session "
-            "observes physics substeps (on_physics_step), which the batched "
-            "path accounts in lanes and never publishes; step the session "
-            "with Session::step_period, or make the sink answer "
-            "observes_physics_steps() == false");
-  }
   slots_.push_back(Slot{&session, &server});
   batch_.add_server(server);
-  accounts_.add_lane(server, thermal);
+  accounts_.add_lane(server);
 }
 
 void RackBatchStepper::set_workload_table(const WorkloadTable* table) {

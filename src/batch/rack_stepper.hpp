@@ -9,15 +9,15 @@
 //      per-slot inputs are gathered ONCE into the SoA kernel (CPU power at
 //      the period's executed utilization, the fan's drive target and slew,
 //      the current inlet temperature) and the slot's accounting lanes are
-//      loaded from its Server and ThermalViolationSink;
+//      loaded from its Server's meters;
 //   2. each physics substep is one ServerBatch::step_range over the slots
 //      followed by one fused LaneAccounting::account_range pass (energy,
 //      junction statistics, violation time, sensor phase; the sensor's
 //      cold sample path only at sample instants).  No per-server,
 //      per-substep virtual call, object write or require() is made;
 //   3. every slot's accounting lanes are stored back — the Server adopts
-//      the batch's actuator and thermal state, the meters and the sink
-//      get their integrals — and the session closes the period
+//      the batch's actuator and thermal state, and its meters get their
+//      integrals — and the session closes the period
 //      (note_substeps_accounted() + finish_period()).
 //
 // Slots never interact inside a period (rack coupling happens at the
@@ -25,8 +25,8 @@
 // substep-by-substep instead of slot-by-slot performs the exact same
 // per-slot FP operation sequence as the scalar path — trajectories are
 // bit-identical, only the loop nest (and the speed) changes.  And because
-// phase 3 writes everything back, the Servers and sinks are exact at every
-// period boundary: policies, coordinators, observations, snapshots, fault
+// phase 3 writes everything back, the Servers are exact at every period
+// boundary: policies, sinks, coordinators, observations, snapshots, fault
 // arming and finish() see what the scalar path shows them.
 //
 // Faults: a faulted lane stays in the batch.  A fan fault changes only
@@ -35,11 +35,9 @@
 // fault layer arms both at coordination barriers, between advance calls,
 // so the stepper never needs to know a lane is faulted.
 //
-// Sinks: a session's sinks get no on_physics_step on this path.
-// add_slot() therefore accepts only sinks that do not observe physics
-// steps (InstrumentationSink::observes_physics_steps) plus at most one
-// ThermalViolationSink, whose state the accounting lanes carry; any other
-// sink is rejected with std::invalid_argument.
+// Sinks: the session publishes to its sinks in phase 1 and at finish(),
+// exactly as on the scalar path; per-substep quantities reach them through
+// the Server's meters, so a session may carry any sink.
 //
 // Chunking: because slots are independent between barriers, the batch
 // splits into contiguous lane *chunks* that can advance whole coordination
@@ -77,9 +75,7 @@ class RackBatchStepper {
   /// Register a slot.  The session must be freshly constructed (settled,
   /// zero periods stepped) so the gathered plant state matches; all slots
   /// must share the session timing (the engines validate that).  Both
-  /// references are borrowed and must outlive the stepper.  Throws
-  /// std::invalid_argument when a sink attached to the session needs
-  /// on_physics_step (see the file comment).
+  /// references are borrowed and must outlive the stepper.
   void add_slot(SimulationEngine::Session& session, Server& server);
 
   std::size_t size() const noexcept { return slots_.size(); }

@@ -33,6 +33,7 @@ SimulationEngine::Session::Session(const SimulationEngine& engine,
   const SimulationParams& params = engine_.params_;
   policy_.reset();
   server_.reset_energy();
+  server_.reset_junction(params.thermal_limit_celsius);
   server_.settle(params.initial_utilization, server_.fan_speed_commanded());
 
   physics_per_period_ = std::lround(params.cpu_period_s / params.physics_dt_s);
@@ -164,13 +165,6 @@ bool SimulationEngine::Session::begin_period(double raw_demand) {
 
 void SimulationEngine::Session::note_substep() {
   require(in_period_, "Session::note_substep: no period in progress");
-  const SimulationParams& params = engine_.params_;
-  PhysicsSample phys;
-  phys.time_s = static_cast<double>(period_) * params.cpu_period_s +
-                static_cast<double>(substeps_done_ + 1) * params.physics_dt_s;
-  phys.dt_s = params.physics_dt_s;
-  phys.server = &server_;
-  for (InstrumentationSink* sink : engine_.sinks_) sink->on_physics_step(phys);
   ++substeps_done_;
 }
 

@@ -4,11 +4,15 @@
 // recording on its own divider — decoupled from *what* is measured.
 //
 // Observation is delegated to pluggable InstrumentationSinks: the engine
-// publishes every policy decision, every physics substep, and every trace
-// record to all attached sinks.  The classic `run_simulation` entry point
-// (sim/simulation.hpp) is a thin wrapper that attaches the standard sinks
-// (trace recorder, deadline stats, thermal violation tracker, energy
-// accumulator) and assembles their outputs into a SimulationResult.
+// publishes the run's start, every policy decision, every trace record and
+// the run's end to all attached sinks.  What accrues per physics substep
+// (energy, junction statistics) is metered by the Server itself, which
+// every plant path advances; sinks read those meters at period boundaries
+// or at the end.
+// The classic `run_simulation` entry point (sim/simulation.hpp) is a thin
+// wrapper that attaches the standard sinks (trace recorder, deadline
+// stats, thermal violation capture, energy capture) and assembles their
+// outputs into a SimulationResult.
 #pragma once
 
 #include <vector>
@@ -60,13 +64,6 @@ struct PeriodSample {
   const DtmPolicy* policy = nullptr;
 };
 
-/// What the engine publishes after each plant integration substep.
-struct PhysicsSample {
-  double time_s = 0.0;  ///< time at the *end* of the substep
-  double dt_s = 0.0;
-  const Server* server = nullptr;
-};
-
 /// Observer interface.  All hooks default to no-ops so sinks override only
 /// what they need.  Sinks must not mutate the plant or the policy; they see
 /// them const and only through the published samples.
@@ -85,18 +82,6 @@ class InstrumentationSink {
   /// A fully-populated trace record at a record instant (only published
   /// when SimulationParams::record_trace is set).
   virtual void on_record(const TraceRecord& /*record*/) {}
-
-  /// One plant integration substep has completed.  Published by the scalar
-  /// path only: the batched path (batch/rack_stepper.hpp) accounts
-  /// substeps in SoA lanes and makes no per-substep call.
-  virtual void on_physics_step(const PhysicsSample& /*sample*/) {}
-
-  /// Whether this sink needs on_physics_step.  Defaults to true, so a sink
-  /// that overrides on_physics_step is never silently starved: the batched
-  /// path rejects a session carrying one (only ThermalViolationSink, whose
-  /// state batch/lane_accounting.hpp advances in lanes, is exempt).  Sinks
-  /// whose on_physics_step is the no-op default answer false.
-  virtual bool observes_physics_steps() const noexcept { return true; }
 
   /// The run finished after `duration_s` simulated seconds.
   virtual void on_run_end(const Server& /*server*/, double /*duration_s*/) {}
@@ -131,7 +116,8 @@ class SimulationEngine {
   /// which case the step sequence is bit-identical to the classic run().
   class Session {
    public:
-    /// Resets the policy and energy meter, settles the server at the
+    /// Resets the policy and the server's energy and junction meters (the
+    /// latter to params.thermal_limit_celsius), settles the server at the
     /// initial operating point, and publishes on_run_begin.  All referenced
     /// objects must outlive the session.
     Session(const SimulationEngine& engine, Server& server, DtmPolicy& policy,
@@ -150,16 +136,15 @@ class SimulationEngine {
     ///      sample + trace record publication.  Returns false (and does
     ///      nothing) once done().
     ///   2. the physics_per_period() substeps, either
-    ///      - one Server::step + note_substep() (publishes the
-    ///        PhysicsSample to the sinks) per substep, as step_period()
-    ///        does, or
+    ///      - one Server::step + note_substep() (which only counts it) per
+    ///        substep, as step_period() does, or
     ///      - lane-accounted (batch/rack_stepper.hpp): the whole period is
-    ///        advanced in SoA lanes, the Server and the sinks are written
+    ///        advanced in SoA lanes, the Server and its meters are written
     ///        back once, and note_substeps_accounted() records it;
     ///   3. finish_period() — workload bookkeeping, period counter.
     ///
-    /// Both forms leave the Server and every sink in the same state at the
-    /// period boundary.
+    /// Both forms leave the Server in the same state at the period
+    /// boundary; no sink is called between phases 1 and 3.
     bool begin_period();
     /// begin_period() with the period's raw demand supplied by the caller
     /// instead of the session's own `workload_.demand(t)` virtual call —
@@ -173,8 +158,8 @@ class SimulationEngine {
     bool begin_period(double raw_demand);
     void note_substep();
     /// Record all of the open period's substeps as advanced outside the
-    /// session, with nothing left to publish per substep.  Call once,
-    /// instead of the note_substep() calls, before finish_period().
+    /// session.  Call once, instead of the note_substep() calls, before
+    /// finish_period().
     void note_substeps_accounted();
     void finish_period();
     /// The utilization executing during the period opened by
@@ -243,10 +228,6 @@ class SimulationEngine {
 
     const Server& server() const noexcept { return server_; }
     const DtmPolicy& policy() const noexcept { return policy_; }
-    /// The engine's sinks, in notification order.
-    const std::vector<InstrumentationSink*>& sinks() const noexcept {
-      return engine_.sinks_;
-    }
 
    private:
     const SimulationEngine& engine_;
@@ -258,7 +239,7 @@ class SimulationEngine {
     long record_every_ = 1;
     long period_ = 0;
     bool in_period_ = false;     ///< between begin_period and finish_period
-    long substeps_done_ = 0;     ///< substeps published this period
+    long substeps_done_ = 0;     ///< substeps advanced this period
     double pending_demand_ = 0.0;    ///< this period's resolved demand
     double pending_executed_ = 0.0;  ///< this period's executed utilization
     double cap_ = 1.0;

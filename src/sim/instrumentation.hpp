@@ -22,7 +22,6 @@ class TraceRecorderSink final : public InstrumentationSink {
     trace_.clear();
   }
   void on_record(const TraceRecord& record) override { trace_.push_back(record); }
-  bool observes_physics_steps() const noexcept override { return false; }
 
   const std::vector<TraceRecord>& trace() const noexcept { return trace_; }
   std::vector<TraceRecord> take_trace() noexcept { return std::move(trace_); }
@@ -43,7 +42,6 @@ class DeadlineStatsSink final : public InstrumentationSink {
     deadline_.record(s.demand, s.cap);
     fan_speed_stats_.add(s.fan_cmd_rpm);
   }
-  bool observes_physics_steps() const noexcept override { return false; }
 
   const DeadlineTracker& deadline() const noexcept { return deadline_; }
   const RunningStats& fan_speed_stats() const noexcept { return fan_speed_stats_; }
@@ -53,48 +51,28 @@ class DeadlineStatsSink final : public InstrumentationSink {
   RunningStats fan_speed_stats_;
 };
 
-/// Tracks the true junction temperature over physics substeps: running
-/// stats plus the time spent above the configured thermal limit.
-///
-/// The batched path never calls on_physics_step: batch/lane_accounting.hpp
-/// loads this sink's state into SoA lanes at each control-period start,
-/// advances it per substep with on_physics_step's exact arithmetic, and
-/// restore()s it at period end — so the sink is exact at every period
-/// boundary on both paths.
+/// Captures the server's junction statistics and time above the thermal
+/// limit at the end of the run.  (The session resets the Server's
+/// JunctionMeter at run start with the run's limit, so the captured values
+/// cover exactly this run, on the scalar and the batched path alike.)
 class ThermalViolationSink final : public InstrumentationSink {
  public:
-  void on_run_begin(const SimulationParams& params, const Server&) override {
-    limit_celsius_ = params.thermal_limit_celsius;
-    junction_stats_.reset();
-    violation_time_s_ = 0.0;
-  }
-  void on_physics_step(const PhysicsSample& s) override {
-    const double tj = s.server->true_junction();
-    junction_stats_.add(tj);
-    if (tj > limit_celsius_) violation_time_s_ += s.dt_s;
+  void on_run_end(const Server& server, double /*duration_s*/) override {
+    junction_ = server.junction();
   }
 
-  const RunningStats& junction_stats() const noexcept { return junction_stats_; }
-  double violation_time_s() const noexcept { return violation_time_s_; }
-  double limit_celsius() const noexcept { return limit_celsius_; }
-
-  /// Hand back lane-advanced state (see the class comment).
-  void restore(const RunningStats::State& junction,
-               double violation_time_s) noexcept {
-    junction_stats_.restore(junction);
-    violation_time_s_ = violation_time_s;
-  }
+  const RunningStats& junction_stats() const noexcept { return junction_.stats(); }
+  double violation_time_s() const noexcept { return junction_.violation_time_s(); }
+  double limit_celsius() const noexcept { return junction_.limit_celsius(); }
 
   /// Fraction of `duration_s` spent above the limit; 0 for non-positive
   /// durations.
   double violation_fraction(double duration_s) const noexcept {
-    return duration_s > 0.0 ? violation_time_s_ / duration_s : 0.0;
+    return duration_s > 0.0 ? violation_time_s() / duration_s : 0.0;
   }
 
  private:
-  double limit_celsius_ = 80.0;
-  RunningStats junction_stats_;
-  double violation_time_s_ = 0.0;
+  JunctionMeter junction_;
 };
 
 /// Captures the server's cumulative energy split at the end of the run.
@@ -107,7 +85,6 @@ class EnergyAccumulatorSink final : public InstrumentationSink {
     cpu_energy_joules_ = server.energy().cpu_energy();
     duration_s_ = duration_s;
   }
-  bool observes_physics_steps() const noexcept override { return false; }
 
   double fan_energy_joules() const noexcept { return fan_energy_joules_; }
   double cpu_energy_joules() const noexcept { return cpu_energy_joules_; }

@@ -25,6 +25,7 @@ void Server::step(double u_executed, double dt) {
   params_.thermal.step(p_cpu, rpm, dt);
   sensor_.observe(params_.thermal.junction(), dt);
   energy_.accumulate(p_cpu, p_fan, dt);
+  junction_.add(params_.thermal.junction(), dt);
 }
 
 void Server::settle(double u_executed, double fan_rpm) {

@@ -12,6 +12,7 @@
 #include "power/energy_meter.hpp"
 #include "power/fan_power.hpp"
 #include "sensor/sensor_chain.hpp"
+#include "thermal/junction_meter.hpp"
 #include "thermal/server_thermal_model.hpp"
 #include "util/rng.hpp"
 
@@ -42,7 +43,7 @@ class Server {
 
   /// Advance physics by `dt` seconds with the CPU executing utilization
   /// `u_executed`.  Updates thermal state, fan dynamics, sensing, and
-  /// energy accounting.
+  /// energy and junction accounting.
   void step(double u_executed, double dt);
 
   /// Settle the whole plant (thermal + sensor pipeline) at an operating
@@ -52,10 +53,11 @@ class Server {
   /// Batched-stepping mirror, once per control period: the SoA kernel
   /// (batch/server_batch.hpp) has advanced this server's actuator and
   /// thermal plant with the same expressions step() uses; adopt the
-  /// resulting state.  The sensor phase and the energy integrals come back
-  /// separately through sensor_chain() and energy_meter()
-  /// (batch/lane_accounting.hpp), after which the Server is
-  /// indistinguishable from one advanced by step().
+  /// resulting state.  The sensor phase and the energy and junction
+  /// accumulators come back separately through sensor_chain(),
+  /// energy_meter() and junction_meter() (batch/lane_accounting.hpp),
+  /// after which the Server is indistinguishable from one advanced by
+  /// step().
   void adopt_plant_state(double fan_rpm, double heat_sink_celsius,
                          double junction_celsius) noexcept {
     actuator_.adopt_speed(fan_rpm);
@@ -67,6 +69,7 @@ class Server {
   SensorChain& sensor_chain() noexcept { return sensor_; }
   const SensorChain& sensor_chain() const noexcept { return sensor_; }
   EnergyMeter& energy_meter() noexcept { return energy_; }
+  JunctionMeter& junction_meter() noexcept { return junction_; }
 
   /// The measurement the firmware sees (lagged + quantized).
   double measured_temp() const noexcept { return sensor_.read(); }
@@ -109,6 +112,13 @@ class Server {
   const EnergyMeter& energy() const noexcept { return energy_; }
   void reset_energy() noexcept { energy_.reset(); }
 
+  /// True-junction statistics and time above the limit since the last
+  /// reset_junction() (Session resets it with the run's thermal limit).
+  const JunctionMeter& junction() const noexcept { return junction_; }
+  void reset_junction(double limit_celsius) noexcept {
+    junction_.reset(limit_celsius);
+  }
+
   /// Fault forwarding (fault/fault_injector.hpp arms these at coordination
   /// barriers).  Faulted components change only their own behavior, and
   /// the batched path sees both through the Server: a sensor fault acts in
@@ -132,6 +142,7 @@ class Server {
   FanActuator actuator_;
   SensorChain sensor_;
   EnergyMeter energy_;
+  JunctionMeter junction_;
 };
 
 }  // namespace fsc

@@ -84,7 +84,7 @@ TEST(ServerBatch, N1BitIdenticalToScalarServerStep) {
   ASSERT_EQ(batch.add_server(batched), 0u);
   ASSERT_EQ(batch.size(), 1u);
   LaneAccounting accounts;
-  ASSERT_EQ(accounts.add_lane(batched, nullptr), 0u);
+  ASSERT_EQ(accounts.add_lane(batched), 0u);
 
   for (long period = 0; period < 120; ++period) {
     // Exercise all regimes: load square wave, fan commands that slew for
@@ -117,6 +117,10 @@ TEST(ServerBatch, N1BitIdenticalToScalarServerStep) {
     ASSERT_EQ(scalar.energy().fan_energy(), batched.energy().fan_energy());
     ASSERT_EQ(scalar.energy().cpu_energy(), batched.energy().cpu_energy());
     ASSERT_EQ(scalar.energy().elapsed(), batched.energy().elapsed());
+    ASSERT_EQ(scalar.junction().stats().mean(), batched.junction().stats().mean());
+    ASSERT_EQ(scalar.junction().stats().max(), batched.junction().stats().max());
+    ASSERT_EQ(scalar.junction().violation_time_s(),
+              batched.junction().violation_time_s());
   }
 }
 
@@ -157,7 +161,7 @@ TEST(ServerBatch, DtChangeRefreshesTheMemoisedDecays) {
   ServerBatch batch;
   batch.add_server(batched);
   LaneAccounting accounts;
-  accounts.add_lane(batched, nullptr);
+  accounts.add_lane(batched);
   batch.set_inputs(0, batched.cpu_power_now(0.6), 4000.0, batched.inlet_temperature());
   scalar.command_fan(4000.0);
   batched.command_fan(4000.0);
@@ -323,11 +327,12 @@ struct LaneState {
 
 LaneState lane_state(const LaneSlot& slot) {
   const EnergyMeter& e = slot.server.energy();
+  const JunctionMeter& j = slot.server.junction();
   return {e.cpu_energy(),
           e.fan_energy(),
           e.elapsed(),
-          slot.thermal.junction_stats().state(),
-          slot.thermal.violation_time_s(),
+          j.stats().state(),
+          j.violation_time_s(),
           slot.server.measured_temp(),
           slot.server.fan_speed_actual()};
 }
@@ -474,46 +479,17 @@ TEST(LaneAccounting, StepperMatchesScalarSessionsEveryPeriod) {
   }
 }
 
-/// A sink that needs every substep: the batched path cannot serve it.
-class SubstepCounterSink final : public InstrumentationSink {
- public:
-  void on_physics_step(const PhysicsSample& /*sample*/) override { ++steps_; }
-
- private:
-  long steps_ = 0;
-};
-
-/// A custom sink that leaves on_physics_step alone and says so.
+/// A custom sink that observes control periods only.
 class PeriodOnlySink final : public InstrumentationSink {
  public:
   void on_period(const PeriodSample& /*sample*/) override { ++periods_; }
-  bool observes_physics_steps() const noexcept override { return false; }
+  long periods() const noexcept { return periods_; }
 
  private:
   long periods_ = 0;
 };
 
-TEST(LaneAccounting, StepperRejectsASinkThatObservesPhysicsSteps) {
-  RackParams rack = lane_rack();
-  rack.num_servers = 1;
-  const RackServerSpec spec = Rack(rack).server(0);
-  LaneSlot slot(spec, rack);
-  SubstepCounterSink counter;
-  slot.engine.add_sink(&counter);
-  SimulationEngine::Session session(slot.engine, slot.server, *slot.policy,
-                                    *slot.workload);
-  RackBatchStepper stepper;
-  try {
-    stepper.add_slot(session, slot.server);
-    FAIL() << "a sink that observes physics steps must be rejected";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("on_physics_step"), std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(stepper.size(), 0u);
-}
-
-TEST(LaneAccounting, StepperAcceptsSinksThatDeclareNoPhysicsSteps) {
+TEST(LaneAccounting, StepperAcceptsAnySink) {
   RackParams rack = lane_rack();
   rack.num_servers = 1;
   const RackServerSpec spec = Rack(rack).server(0);
@@ -526,6 +502,7 @@ TEST(LaneAccounting, StepperAcceptsSinksThatDeclareNoPhysicsSteps) {
   EXPECT_NO_THROW(stepper.add_slot(session, slot.server));
   EXPECT_NO_THROW(stepper.advance_periods(3));
   EXPECT_EQ(session.periods_done(), 3);
+  EXPECT_EQ(periods.periods(), 3);
 }
 
 // ------------------------- full rack and room: chunk x thread invariance

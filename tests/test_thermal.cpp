@@ -1,11 +1,13 @@
 // Unit tests for src/thermal: heat-sink resistance law, RC node
-// integration, and the coupled two-node server model (Eqns. 2-3).
+// integration, the coupled two-node server model (Eqns. 2-3), and the
+// junction meter.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 
 #include "thermal/heat_sink.hpp"
+#include "thermal/junction_meter.hpp"
 #include "thermal/rc_node.hpp"
 #include "thermal/server_thermal_model.hpp"
 
@@ -262,6 +264,53 @@ TEST(ServerThermal, ExactIntegrationStepSizeIndependent) {
   for (int i = 0; i < 6000; ++i) b.step(160.0, 5000.0, 0.01);
   EXPECT_NEAR(a.junction(), b.junction(), 0.05);
   EXPECT_NEAR(a.heat_sink_temperature(), b.heat_sink_temperature(), 1e-6);
+}
+
+// ---------------------------------------------------------------- JunctionMeter
+
+TEST(JunctionMeter, ResetSetsLimitAndClears) {
+  JunctionMeter m;
+  m.add(90.0, 0.5);
+  m.reset(70.0);
+  EXPECT_EQ(m.limit_celsius(), 70.0);
+  EXPECT_EQ(m.stats().count(), 0u);
+  EXPECT_EQ(m.violation_time_s(), 0.0);
+}
+
+TEST(JunctionMeter, OnlySamplesStrictlyAboveTheLimitCount) {
+  JunctionMeter m;
+  m.reset(80.0);
+  m.add(79.0, 0.05);
+  m.add(80.0, 0.05);  // exactly at the limit: not a violation
+  m.add(81.5, 0.05);
+  m.add(82.5, 0.1);
+  EXPECT_EQ(m.violation_time_s(), 0.05 + 0.1);
+  EXPECT_EQ(m.stats().count(), 4u);
+  EXPECT_EQ(m.stats().min(), 79.0);
+  EXPECT_EQ(m.stats().max(), 82.5);
+  EXPECT_DOUBLE_EQ(m.stats().mean(), (79.0 + 80.0 + 81.5 + 82.5) / 4.0);
+}
+
+TEST(JunctionMeter, RestoreRoundTrips) {
+  JunctionMeter a;
+  a.reset(60.0);
+  for (double tj : {55.0, 61.25, 63.5, 58.0}) a.add(tj, 0.05);
+
+  JunctionMeter b;
+  b.reset(60.0);
+  b.restore(a.stats().state(), a.violation_time_s());
+  EXPECT_EQ(b.violation_time_s(), a.violation_time_s());
+  EXPECT_EQ(b.stats().count(), a.stats().count());
+  EXPECT_EQ(b.stats().mean(), a.stats().mean());
+  EXPECT_EQ(b.stats().variance(), a.stats().variance());
+  EXPECT_EQ(b.stats().sum(), a.stats().sum());
+  EXPECT_EQ(b.stats().min(), a.stats().min());
+  EXPECT_EQ(b.stats().max(), a.stats().max());
+  // Both continue identically from the restored state.
+  a.add(62.0, 0.05);
+  b.add(62.0, 0.05);
+  EXPECT_EQ(b.stats().mean(), a.stats().mean());
+  EXPECT_EQ(b.violation_time_s(), a.violation_time_s());
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
-// Unit tests for src/util: ring buffer, statistics, CSV, config, units.
+// Unit tests for src/util: ring buffer, statistics, CSV, units.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
 
-#include "util/config.hpp"
 #include "util/csv.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
@@ -341,62 +340,6 @@ TEST(Csv, ParseSkipsBlankLinesAndCr) {
 TEST(Csv, MissingColumnThrows) {
   const auto table = parse_csv("a\n1\n");
   EXPECT_THROW(table.column_index("zzz"), std::out_of_range);
-}
-
-// ---------------------------------------------------------------- Config
-
-TEST(Config, ParseBasics) {
-  const auto cfg = Config::parse("alpha = 1.5\nname = hello\nflag = true\n");
-  EXPECT_DOUBLE_EQ(cfg.get_double("alpha", 0.0), 1.5);
-  EXPECT_EQ(cfg.get_string("name", ""), "hello");
-  EXPECT_TRUE(cfg.get_bool("flag", false));
-}
-
-TEST(Config, DefaultsWhenMissing) {
-  const Config cfg;
-  EXPECT_DOUBLE_EQ(cfg.get_double("nope", 3.25), 3.25);
-  EXPECT_EQ(cfg.get_int("nope", 42), 42);
-  EXPECT_FALSE(cfg.get_bool("nope", false));
-}
-
-TEST(Config, CommentsAndWhitespace) {
-  const auto cfg = Config::parse("# comment\n  key =  7  # trailing\n");
-  EXPECT_EQ(cfg.get_int("key", 0), 7);
-  EXPECT_EQ(cfg.size(), 1u);
-}
-
-TEST(Config, LaterKeysOverride) {
-  const auto cfg = Config::parse("k = 1\nk = 2\n");
-  EXPECT_EQ(cfg.get_int("k", 0), 2);
-}
-
-TEST(Config, MalformedLineThrows) {
-  EXPECT_THROW(Config::parse("no equals sign\n"), std::runtime_error);
-}
-
-TEST(Config, BadTypeThrows) {
-  const auto cfg = Config::parse("x = hello\n");
-  EXPECT_THROW(cfg.get_double("x", 0.0), std::runtime_error);
-  EXPECT_THROW(cfg.get_int("x", 0), std::runtime_error);
-  EXPECT_THROW(cfg.get_bool("x", false), std::runtime_error);
-}
-
-TEST(Config, BoolSpellings) {
-  const auto cfg = Config::parse("a=1\nb=yes\nc=on\nd=0\ne=no\nf=off\n");
-  EXPECT_TRUE(cfg.get_bool("a", false));
-  EXPECT_TRUE(cfg.get_bool("b", false));
-  EXPECT_TRUE(cfg.get_bool("c", false));
-  EXPECT_FALSE(cfg.get_bool("d", true));
-  EXPECT_FALSE(cfg.get_bool("e", true));
-  EXPECT_FALSE(cfg.get_bool("f", true));
-}
-
-TEST(Config, RoundTripToString) {
-  auto cfg = Config::parse("b = 2\na = 1\n");
-  const auto text = cfg.to_string();
-  const auto cfg2 = Config::parse(text);
-  EXPECT_EQ(cfg2.get_int("a", 0), 1);
-  EXPECT_EQ(cfg2.get_int("b", 0), 2);
 }
 
 }  // namespace

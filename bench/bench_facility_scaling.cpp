@@ -1,5 +1,6 @@
-// Facility-tier scaling: the two-level topology-aware executor's thread
-// scaling curve, and the O(100k)-server capacity gate.
+// Facility-tier scaling: the thread scaling curve of the facility team
+// (room leaders over per-room LockstepExecutors), and the O(100k)-server
+// capacity gate.
 //
 // The capacity claim is enforced through bench/verdict.hpp after the
 // timing loops: a 100,000-server facility (8 rooms x 25 racks x 500 slots)
@@ -29,7 +30,6 @@
 #include "verdict.hpp"
 
 #include "facility/facility_engine.hpp"
-#include "util/cpu_topology.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -135,8 +135,6 @@ bool print_facility_verdict() {
   const std::size_t team =
       std::min<std::size_t>(8, hw_raw == 0 ? 1 : hw_raw);
   bool ok = true;
-
-  std::printf("\n--- facility topology ---\n%s\n", cpu_topology_line().c_str());
 
   // ---- the 100k-server day ---------------------------------------------
   constexpr std::size_t kRooms = 8, kRacks = 25, kSlots = 500;

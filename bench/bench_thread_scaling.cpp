@@ -39,7 +39,7 @@ namespace {
 
 using namespace fsc;
 
-/// The contended rack scenario at bench horizon; chunk 0 = auto (8 lanes).
+/// The contended rack scenario at bench horizon (8-lane chunks).
 CoupledRackParams bench_rack(std::size_t servers) {
   CoupledRackParams p = default_coupled_scenario(42, 300.0);
   p.rack.num_servers = servers;

@@ -87,7 +87,7 @@ enum class ScenarioFlag {
 ///   --dtm POLICY --coordinator COORD --scheduler SCHED
 ///   --rack-budget W --room-budget W --step FRAC --zone K
 ///   --no-plenum --no-cross-plenum
-///   --threads N --chunk N
+///   --threads N
 ///   --traces DIR --trace-pack FILE
 ///   --plant-watts W --supply-amplitude C --facility-period S
 ///
@@ -174,9 +174,6 @@ inline ScenarioFlag consume_scenario_flag(fsc::ScenarioSpec& spec, int argc,
   }
   if (arg == "--threads") {
     return take(parse_positive(value, spec.threads), "a positive integer");
-  }
-  if (arg == "--chunk") {
-    return take(parse_unsigned(value, spec.chunk), "a non-negative integer");
   }
   if (arg == "--traces") return take(text(spec.trace_dir), "a directory");
   if (arg == "--trace-pack") {

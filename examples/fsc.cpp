@@ -20,8 +20,7 @@
 //       [--seed S] [--duration SECS] [--dtm POLICY] [--coordinator COORD]
 //       [--scheduler SCHED] [--rack-budget W] [--room-budget W]
 //       [--step FRAC] [--zone K] [--no-plenum] [--no-cross-plenum]
-//       [--threads N] [--chunk N] [--no-pin]
-//       [--traces DIR] [--trace-pack FILE.fst]
+//       [--threads N] [--traces DIR] [--trace-pack FILE.fst]
 //       [--plant-watts W] [--supply-amplitude C] [--facility-period S]
 //       [--trace-out FILE.json] [--metrics-out FILE] [--metrics-every N]
 //       [--progress] [--out FILE.json] [--csv FILE.csv] [--list]
@@ -34,9 +33,8 @@
 //   --rack-budget  rack CPU power budget in watts (< 0 = scenario default)
 //   --room-budget  room CPU power budget in watts (< 0 = scenario default)
 //   --step         fraction of a hot rack's load moved per migration
-//   --chunk        lanes per batch chunk, the shard unit threads
-//                  parallelise over (0 = auto); any value is bit-identical
-//   --no-pin       disable topology-aware worker placement (facility)
+//   --threads      team size at every tier (default: all cores); any
+//                  value gives the same report apart from the manifest
 //   --plant-watts  shared cooling capacity; < 0 (default) = unconstrained
 //   --supply-amplitude  diurnal supply-air peak offset in celsius
 //   --facility-period   seconds between facility barriers, a whole multiple
@@ -59,7 +57,6 @@
 #include "facility/facility_engine.hpp"
 #include "room/room_engine.hpp"
 #include "sim/scenario.hpp"
-#include "util/cpu_topology.hpp"
 
 namespace {
 
@@ -73,8 +70,7 @@ int usage(const char* argv0) {
          "[--coordinator COORD]\n"
          "       [--scheduler SCHED] [--rack-budget W] [--room-budget W]\n"
          "       [--step FRAC] [--zone K] [--no-plenum] [--no-cross-plenum]\n"
-         "       [--threads N] [--chunk N] [--no-pin]\n"
-         "       [--traces DIR] [--trace-pack FILE.fst]\n"
+         "       [--threads N] [--traces DIR] [--trace-pack FILE.fst]\n"
          "       [--plant-watts W] [--supply-amplitude C] "
          "[--facility-period S]\n"
          "       [--trace-out FILE.json] [--metrics-out FILE] "
@@ -103,7 +99,6 @@ int run_and_report(const Engine& engine, const std::string& banner,
 
   fsc::obs::RunManifest manifest = fsc::obs::RunManifest::collect();
   manifest.threads = engine.threads();
-  manifest.chunk = spec.chunk;
   manifest.seed = spec.seed;
   manifest.command = fsc::obs::command_line(argc, argv);
   manifest.wall_time_s = wall_s;
@@ -136,7 +131,6 @@ int main(int argc, char** argv) {
   using namespace fsc;
 
   ScenarioSpec spec;
-  bool pin_topology = true;
   Outputs out;
   fsc_cli::ObsCli obs;
 
@@ -151,8 +145,6 @@ int main(int argc, char** argv) {
     if (arg == "--list" || arg == "--list-policies") {
       fsc_cli::print_policy_listing(std::cout);
       return 0;
-    } else if (arg == "--no-pin") {
-      pin_topology = false;
     } else if (arg == "--progress") {
       obs.progress = true;
     } else if (!has_value) {
@@ -186,11 +178,10 @@ int main(int argc, char** argv) {
 
     if (spec.rooms > 0) {
       FacilityParams params = spec.build_facility();
-      params.pin_topology = pin_topology;
       params.obs = obs.telemetry();
       banner << "=== fsc facility: " << spec.rooms << " rooms x " << spec.racks
              << " racks x " << spec.slots << " slots, " << threads
-             << " thread(s) ===\ntopology: " << cpu_topology_line() << "\n\n";
+             << " thread(s) ===\n\n";
       return run_and_report(FacilityEngine(std::move(params), threads),
                             banner.str(), spec, out, obs, argc, argv);
     }

@@ -1,7 +1,5 @@
 #include "batch/rack_stepper.hpp"
 
-#include <algorithm>
-
 #include "sim/server.hpp"
 #include "util/units.hpp"
 #include "workload/workload_table.hpp"
@@ -35,21 +33,6 @@ void RackBatchStepper::prepare() {
   if (table_ != nullptr) demand_buf_.resize(slots_.size());
 }
 
-void RackBatchStepper::advance_periods(long periods) {
-  if (slots_.empty()) return;
-  prepare();
-  advance_range_periods(0, slots_.size(), periods);
-}
-
-void RackBatchStepper::advance_chunk_periods(std::size_t chunk, long periods) {
-  require(chunk < num_chunks(),
-          "RackBatchStepper::advance_chunk_periods: chunk index out of range");
-  const std::size_t lanes = chunk_lanes();
-  const std::size_t lo = chunk * lanes;
-  const std::size_t hi = std::min(slots_.size(), lo + lanes);
-  advance_range_periods(lo, hi, periods);
-}
-
 bool RackBatchStepper::open_period(std::size_t i, bool gathered) {
   Slot& slot = slots_[i];
   const bool open = gathered ? slot.session->begin_period(demand_buf_[i])
@@ -69,6 +52,9 @@ void RackBatchStepper::close_period(std::size_t i) {
 
 void RackBatchStepper::advance_range_periods(std::size_t lo, std::size_t hi,
                                              long periods) {
+  require(lo <= hi && hi <= slots_.size(),
+          "RackBatchStepper::advance_range_periods: need lo <= hi <= size()");
+  if (lo == hi) return;
   const double dt = slots_.front().session->params().physics_dt_s;
   const long substeps = slots_.front().session->physics_per_period();
 

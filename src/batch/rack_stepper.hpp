@@ -40,15 +40,14 @@
 // the Server's meters, so a session may carry any sink.
 //
 // Chunking: because slots are independent between barriers, the batch
-// splits into contiguous lane *chunks* that can advance whole coordination
-// rounds concurrently — advance_chunk_periods(c, periods) steps only chunk
-// c's slots and touches no shared mutable state (call prepare() once,
+// splits into contiguous lane ranges that can advance whole coordination
+// rounds concurrently — advance_range_periods(lo, hi, periods) steps only
+// slots [lo, hi) and touches no shared mutable state (call prepare() once,
 // single-threaded, first).  This is what lets the lockstep engines shard a
-// rack across a LockstepExecutor: chunks parallelise across threads,
-// lanes vectorize within a chunk.  Every per-lane array a chunk writes is
-// cache-line aligned, so chunk widths that are multiples of 8 lanes share
-// no cache line.  advance_periods() remains the whole-batch (single-chunk)
-// path.
+// rack across a LockstepExecutor: they cut it into kAutoChunkLanes-wide
+// chunks, which parallelise across threads while lanes vectorize within a
+// chunk.  Every per-lane array a range writes is cache-line aligned, so
+// ranges whose bounds are multiples of 8 lanes share no cache line.
 #pragma once
 
 #include <cstddef>
@@ -67,9 +66,10 @@ class WorkloadTable;
 /// Steps one rack's sessions over a shared SoA plant kernel.
 class RackBatchStepper {
  public:
-  /// Lanes per chunk when the caller asks for the automatic size (0): wide
-  /// enough to vectorize, narrow enough that a 64-lane rack splits across
-  /// 8 threads.
+  /// Lanes per chunk, the shard unit of the lockstep engines: one cache
+  /// line of doubles (so concurrent chunks share no line), wide enough to
+  /// vectorize, and narrow enough that a 64-lane rack splits across 8
+  /// threads.  Any chunking is bit-identical to any other.
   static constexpr std::size_t kAutoChunkLanes = 8;
 
   /// Register a slot.  The session must be freshly constructed (settled,
@@ -79,18 +79,6 @@ class RackBatchStepper {
   void add_slot(SimulationEngine::Session& session, Server& server);
 
   std::size_t size() const noexcept { return slots_.size(); }
-
-  /// Lanes per chunk; 0 (the default) resolves to kAutoChunkLanes.  Set
-  /// before stepping; changing it mid-run is allowed but pointless.
-  void set_chunk_lanes(std::size_t lanes) noexcept { chunk_lanes_ = lanes; }
-  std::size_t chunk_lanes() const noexcept {
-    return chunk_lanes_ > 0 ? chunk_lanes_ : kAutoChunkLanes;
-  }
-  /// Number of chunks the current slot count splits into (0 when empty).
-  std::size_t num_chunks() const noexcept {
-    const std::size_t lanes = chunk_lanes();
-    return (slots_.size() + lanes - 1) / lanes;
-  }
 
   /// The underlying SoA kernel — exposed so engines can attach telemetry
   /// (ServerBatch::attach_memo_counters) without the stepper mirroring
@@ -111,27 +99,20 @@ class RackBatchStepper {
 
   /// Freeze the dt-dependent kernel memos for the registered slots'
   /// physics step.  Must run once — single-threaded — after the last
-  /// add_slot() and before any advance_chunk_periods() wave; idempotent.
+  /// add_slot() and before any advance_range_periods() call; idempotent.
   void prepare();
 
-  /// Advance every slot by up to `periods` CPU control periods, stopping
-  /// early when the sessions are done.  Single-threaded whole-batch path
-  /// (prepares dt itself).
-  void advance_periods(long periods);
-
-  /// Advance only chunk `chunk` (slots [chunk * chunk_lanes(), ...)) by up
-  /// to `periods` periods.  Distinct chunks may run concurrently — they
-  /// share no mutable state once prepare() has run.  Throws
-  /// std::invalid_argument on a bad chunk index.
-  void advance_chunk_periods(std::size_t chunk, long periods);
+  /// Advance slots [lo, hi) by up to `periods` CPU control periods,
+  /// stopping early when the range's sessions are done.  Disjoint ranges
+  /// may run concurrently — they share no mutable state once prepare() has
+  /// run.  Throws std::invalid_argument unless lo <= hi <= size().
+  void advance_range_periods(std::size_t lo, std::size_t hi, long periods);
 
  private:
   struct Slot {
     SimulationEngine::Session* session = nullptr;
     Server* server = nullptr;
   };
-
-  void advance_range_periods(std::size_t lo, std::size_t hi, long periods);
 
   /// Phase 1 for lane i: open the session's period and, when it opened,
   /// gather the kernel inputs and load the accounting lanes.
@@ -144,10 +125,9 @@ class RackBatchStepper {
   /// Per-substep accounting; its loaded() flag marks the lanes that opened
   /// a period on the batched path.
   LaneAccounting accounts_;
-  std::size_t chunk_lanes_ = 0;  ///< 0 = kAutoChunkLanes
   const WorkloadTable* table_ = nullptr;  ///< batched demand (null = classic)
   /// Per-slot demand scratch for the gather — sized once in prepare();
-  /// concurrent chunks write disjoint [lo, hi) sub-ranges of its
+  /// concurrent ranges write disjoint [lo, hi) sub-ranges of its
   /// cache-line-aligned lanes, so one buffer serves all threads.
   LaneVector<double> demand_buf_;
 };

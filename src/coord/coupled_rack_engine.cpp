@@ -136,7 +136,6 @@ struct CoupledRackEngine::Session::Impl {
           std::make_unique<SlotRuntime>(spec, params.rack.policy, sim));
     }
 
-    stepper.set_chunk_lanes(params.chunk);
     for (const auto& rt : slots) stepper.add_slot(*rt->session, rt->server);
     // Table every lane once, up front.  A single non-tableable workload
     // drops the whole table — the per-lane path is always correct, the
@@ -217,7 +216,8 @@ std::size_t CoupledRackEngine::Session::num_slots() const noexcept {
 }
 
 std::size_t CoupledRackEngine::Session::num_shards() const noexcept {
-  return impl_->stepper.num_chunks();
+  constexpr std::size_t lanes = RackBatchStepper::kAutoChunkLanes;
+  return (impl_->stepper.size() + lanes - 1) / lanes;
 }
 
 void CoupledRackEngine::Session::run_shard(std::size_t shard) {
@@ -229,7 +229,10 @@ void CoupledRackEngine::Session::run_shard(std::size_t shard) {
 #endif
   // The shard is one contiguous lane chunk of the rack's SoA batch —
   // chunks parallelise across threads, lanes vectorize within the chunk.
-  im.stepper.advance_chunk_periods(shard, im.periods_per_round);
+  constexpr std::size_t lanes = RackBatchStepper::kAutoChunkLanes;
+  const std::size_t lo = shard * lanes;
+  im.stepper.advance_range_periods(
+      lo, std::min(lo + lanes, im.stepper.size()), im.periods_per_round);
 }
 
 void CoupledRackEngine::Session::coordinate_round() {
@@ -246,7 +249,7 @@ void CoupledRackEngine::Session::coordinate_round() {
   const double t = im.slots.front()->session->time_s();
   // Fault transitions happen only here — the single-threaded instant of a
   // round — which quantizes them to barriers and keeps faulted runs
-  // deterministic across thread counts and chunk sizes.
+  // deterministic across thread counts.
   if (im.injector) im.injector->advance(t);
   im.observations.clear();
   im.observations.reserve(im.slots.size());

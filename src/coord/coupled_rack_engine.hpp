@@ -40,6 +40,12 @@ namespace fsc {
 
 /// Everything a coupled run needs: the rack (specs, slot policy, timing),
 /// the coordinator selection, and the coupling physics.
+///
+/// Demand resolution follows the input: when every slot's workload is
+/// pre-sampled (SampledWorkload / StoredTraceWorkload) the batch resolves
+/// per-period demand through one WorkloadTable gather; a rack with any
+/// other lane keeps the per-lane virtual Workload::demand path.  Both
+/// compute the same expressions, so the choice never changes a result.
 struct CoupledRackParams {
   RackParams rack;
   std::string coordinator = "independent";  ///< PolicyFactory coordinator key
@@ -49,17 +55,6 @@ struct CoupledRackParams {
   CoordinatorConfig coord;
   PlenumParams plenum;
   bool plenum_enabled = true;
-  /// Lanes per batch chunk — the shard unit the lockstep drivers
-  /// parallelise over, giving *intra*-rack thread scaling.  0 = automatic
-  /// (RackBatchStepper::kAutoChunkLanes).  Any chunk size is bit-identical
-  /// to any other (test_batch verifies {1, odd, N}).
-  ///
-  /// Demand resolution follows the input: when every slot's workload is
-  /// pre-sampled (SampledWorkload / StoredTraceWorkload) the batch resolves
-  /// per-period demand through one WorkloadTable gather; a rack with any
-  /// other lane keeps the per-lane virtual Workload::demand path.  Both
-  /// compute the same expressions, so the choice never changes a result.
-  std::size_t chunk = 0;
   /// Telemetry sinks (obs/obs.hpp), default fully detached.  Read-only
   /// with respect to the simulation: attaching any combination of sinks
   /// leaves the trajectory bit-identical (test_obs pins this).  Sessions
@@ -71,7 +66,7 @@ struct CoupledRackParams {
   /// re-homed per rack with FaultPlan::for_rack by the scenario layer).
   /// Empty — the default — constructs no injector at all, and the step
   /// sequence is bit-identical to a pre-fault build (test_fault pins it
-  /// with EXPECT_EQ across thread/chunk sweeps).
+  /// with EXPECT_EQ across thread sweeps).
   FaultPlan faults;
 };
 
@@ -151,8 +146,8 @@ class CoupledRackEngine {
     std::size_t num_slots() const noexcept;
 
     /// Shard surface (the unit a LockstepExecutor parallelises): one shard
-    /// per batch chunk (CoupledRackParams::chunk lanes each).  Constant for
-    /// the session's lifetime.
+    /// per batch chunk (RackBatchStepper::kAutoChunkLanes lanes each).
+    /// Constant for the session's lifetime.
     std::size_t num_shards() const noexcept;
     /// Advance shard `shard` by one coordination period.  Distinct shards
     /// touch disjoint slots, so a driver may run them concurrently; the

@@ -9,7 +9,7 @@
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
 #include "obs/snapshot.hpp"
-#include "util/hierarchical_executor.hpp"
+#include "util/lockstep_executor.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -81,7 +81,7 @@ struct FacilityRunTelemetry {
   obs::ProgressMeter* progress = nullptr;
   obs::Counter* rounds_counter = nullptr;
   obs::Counter* saturated_counter = nullptr;
-  /// Group-imbalance exposure: per-room wait at the facility barrier
+  /// Room-imbalance exposure: per-room wait at the facility barrier
   /// (slot-attributed by room index) and per-room room-round wall time.
   obs::Counter* barrier_wait_counter = nullptr;
   std::vector<obs::Histogram*> room_round_hists;
@@ -108,11 +108,11 @@ struct FacilityRunTelemetry {
   }
 
   /// Everything that happens after a facility barrier: the round span,
-  /// the barrier-wait attribution (how long each group idled waiting for
+  /// the barrier-wait attribution (how long each room idled waiting for
   /// the slowest room), counters, and the heartbeat.
   __attribute__((noinline)) void barrier_tail(
       std::int64_t round_t0, std::size_t facility_rounds, double t,
-      bool saturated, const std::vector<std::int64_t>& group_end_ns) {
+      bool saturated, const std::vector<std::int64_t>& room_end_ns) {
     if (trace != nullptr && round_t0 != 0) {
       trace->complete("facility.round", "round", round_t0, obs::monotonic_ns(),
                       0, 0, static_cast<std::int64_t>(facility_rounds - 1));
@@ -126,13 +126,13 @@ struct FacilityRunTelemetry {
                      static_cast<std::int64_t>(facility_rounds - 1));
     }
     if (time_gauge != nullptr) time_gauge->set(t);
-    if (barrier_wait_counter != nullptr && !group_end_ns.empty()) {
+    if (barrier_wait_counter != nullptr && !room_end_ns.empty()) {
       std::int64_t latest = 0;
-      for (const std::int64_t e : group_end_ns) latest = std::max(latest, e);
-      for (std::size_t g = 0; g < group_end_ns.size(); ++g) {
-        if (group_end_ns[g] <= 0) continue;  // room already done: no wave ran
+      for (const std::int64_t e : room_end_ns) latest = std::max(latest, e);
+      for (std::size_t g = 0; g < room_end_ns.size(); ++g) {
+        if (room_end_ns[g] <= 0) continue;  // room already done: no wave ran
         barrier_wait_counter->add(
-            static_cast<std::uint64_t>(latest - group_end_ns[g]), g);
+            static_cast<std::uint64_t>(latest - room_end_ns[g]), g);
       }
     }
     if (progress != nullptr) progress->tick(facility_rounds, t, 0);
@@ -189,7 +189,7 @@ FacilityResult FacilityEngine::run() const {
   // round loop).
   std::vector<double> demands(num_rooms, 0.0);
   std::vector<RoomCoolingAllocation> allocs;
-  std::vector<std::int64_t> group_end_ns;
+  std::vector<std::int64_t> room_end_ns(num_rooms, 0);
 
   // The facility coordination step: observe per-room heat load, allocate
   // the plant, apply throttle + supply air.
@@ -214,20 +214,35 @@ FacilityResult FacilityEngine::run() const {
     return saturated;
   };
 
-  HierarchicalExecutor executor(num_rooms, threads_, params_.pin_topology);
-  group_end_ns.assign(num_rooms, 0);
+  // The team: room leaders, and one executor per room for its shard
+  // waves.  With more threads than rooms, room g's executor gets its share
+  // of the team, [threads*g/rooms, threads*(g+1)/rooms), leader included;
+  // otherwise each room's executor is its leader alone.  Either way the
+  // team is exactly threads_ wide, and a leader owns its rooms for the
+  // whole run, so each room executor is driven by one thread only.
+  LockstepExecutor room_leaders(std::min(threads_, num_rooms));
+  std::vector<std::unique_ptr<LockstepExecutor>> room_teams;
+  room_teams.reserve(num_rooms);
+  for (std::size_t g = 0; g < num_rooms; ++g) {
+    const std::size_t size =
+        threads_ > num_rooms
+            ? threads_ * (g + 1) / num_rooms - threads_ * g / num_rooms
+            : 1;
+    room_teams.push_back(std::make_unique<LockstepExecutor>(size));
+  }
   while (!rooms.front()->done()) {
 #if FSC_OBS_ENABLED
     const std::int64_t round_t0 = tel.attached ? obs::monotonic_ns() : 0;
 #else
     const std::int64_t round_t0 = 0;
 #endif
-    // Each group steps its room's block of rounds between facility
+    // Each leader steps its rooms' blocks of rounds between facility
     // barriers.  Rooms never touch shared state between barriers, so the
-    // per-room sequence is exactly a standalone room's.
-    executor.run_groups([&](std::size_t g) {
+    // per-room sequence is exactly a standalone room's, whichever leader
+    // steps it and in whatever order.
+    room_leaders.run(num_rooms, [&](std::size_t g) {
 #if FSC_OBS_ENABLED
-      const obs::ScopedSpan group_span(tel.trace, "facility.room_rounds",
+      const obs::ScopedSpan room_span(tel.trace, "facility.room_rounds",
                                        "facility",
                                        static_cast<std::uint32_t>(g), 0,
                                        static_cast<std::int64_t>(
@@ -239,14 +254,14 @@ FacilityResult FacilityEngine::run() const {
         const std::int64_t t0 = tel.attached ? obs::monotonic_ns() : 0;
 #endif
         room.mark_round_start();
-        executor.run_in_group(g, room.num_shards(),
-                              [&room](std::size_t i) { room.run_shard(i); });
+        room_teams[g]->run(room.num_shards(),
+                           [&room](std::size_t i) { room.run_shard(i); });
         room.finish_round();
 #if FSC_OBS_ENABLED
         if (t0 != 0) tel.observe_room_round(g, t0, obs::monotonic_ns());
 #endif
       }
-      if (round_t0 != 0) group_end_ns[g] = obs::monotonic_ns();
+      if (round_t0 != 0) room_end_ns[g] = obs::monotonic_ns();
     });
     if (rooms.front()->done()) break;  // run over: nothing to allocate
     bool saturated = false;
@@ -261,8 +276,8 @@ FacilityResult FacilityEngine::run() const {
 #if FSC_OBS_ENABLED
     if (tel.attached) {
       tel.barrier_tail(round_t0, facility_rounds, rooms.front()->time_s(),
-                       saturated, group_end_ns);
-      for (std::size_t g = 0; g < num_rooms; ++g) group_end_ns[g] = 0;
+                       saturated, room_end_ns);
+      for (std::size_t g = 0; g < num_rooms; ++g) room_end_ns[g] = 0;
     }
 #else
     (void)saturated;
@@ -357,8 +372,9 @@ std::string FacilityResult::to_json(const std::string& manifest_json) const {
   if (!manifest_json.empty()) {
     os << "  \"manifest\": " << manifest_json << ",\n";
   }
-  // A fixed config echo: the facility has one executor, and reports keep
-  // the key their readers know.
+  // A fixed config echo: the facility team is always two-level (room
+  // leaders over per-room executors), and reports keep the key their
+  // readers know.
   os << "  \"executor\": \"two-level\",\n";
   os << "  \"rooms\": " << rooms.size() << ",\n";
   os << "  \"racks\": " << total_racks() << ",\n";

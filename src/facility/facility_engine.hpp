@@ -5,13 +5,17 @@
 // Rooms only interact through the plant, and only at *facility
 // coordination barriers* (every `facility_period_s` of simulated time, a
 // whole number of room coordination rounds).  Between barriers each room
-// is a fully independent RoomEngine::Session, so a two-level
-// HierarchicalExecutor gives each room a worker group with a private epoch
-// barrier and a topology-aware contiguous core range: rooms step their
-// rounds with zero cross-room synchronization and the groups meet only at
-// the facility barrier.  Each room executes the same operation sequence
-// as a standalone room, so results are bit-identical across thread counts
-// and chunk sizes (test_facility EXPECT_EQs all of it).
+// is a fully independent RoomEngine::Session.  The team is built from
+// LockstepExecutors: one executor of room leaders (min(threads, rooms)
+// wide) runs one wave per facility barrier, and each room owns a private
+// executor that its leader drives for the room's shard waves.  With more
+// threads than rooms the surplus is split across the rooms' executors;
+// otherwise a leader steps its rooms one after another.  The team is
+// exactly `threads` wide.  Rooms step their rounds with no cross-room
+// synchronization and meet only at the facility barrier.  Each room
+// executes the same operation sequence as a standalone room, so results
+// are bit-identical across thread counts (test_facility EXPECT_EQs all of
+// it).
 //
 // At each barrier the facility observes per-room heat load (aggregate
 // CPU watts), asks the CoolingPlant for allocations, and applies them
@@ -42,8 +46,6 @@ struct FacilityParams {
   /// whole multiple of the rooms' coordination period.  <= 0 means every
   /// room round (one room coordination period).
   double facility_period_s = -1.0;
-  /// Topology-aware worker placement; off = unpinned.
-  bool pin_topology = true;
   /// Telemetry sinks, fanned down to every room (each stamped with a
   /// globally unique rack-label base); snapshot/progress are driven at
   /// room scope per room. Default fully detached.

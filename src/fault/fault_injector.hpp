@@ -4,10 +4,10 @@
 // The injector rides CoupledRackEngine::Session (constructed by the
 // session Impl only when the plan is non-empty, advanced at the top of
 // every coordinate_round).  Quantizing fault instants to barriers is what
-// keeps faulted runs deterministic across thread counts and chunk sizes:
-// between barriers no shared state changes, so the per-slot step sequence
-// is the same whichever thread runs it (tests/test_fault.cpp sweeps
-// threads x chunks and EXPECT_EQs the trajectories).
+// keeps faulted runs deterministic across thread counts: between
+// barriers no shared state changes, so the per-slot step sequence is the
+// same whichever thread runs it (tests/test_fault.cpp sweeps threads on a
+// rack several chunks wide and EXPECT_EQs the trajectories).
 //
 // Plant-level faults (sensor, fan) are forwarded to the victim Server's
 // components and nothing else: the slot stays in its rack's SoA batch,

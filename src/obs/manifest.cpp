@@ -62,7 +62,6 @@ std::string RunManifest::to_json(int indent) const {
   os << pad << "\"host_cores\": " << host_cores << ",\n";
   os << pad << "\"obs_enabled\": " << (obs_enabled ? "true" : "false") << ",\n";
   os << pad << "\"threads\": " << threads << ",\n";
-  os << pad << "\"chunk\": " << chunk << ",\n";
   os << pad << "\"seed\": " << seed << ",\n";
   os << pad << "\"command\": \"" << json_escape(command) << "\",\n";
   os << pad << "\"wall_time_s\": " << wall_time_s << "\n";

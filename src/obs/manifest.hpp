@@ -22,7 +22,6 @@ struct RunManifest {
 
   // Per-run configuration (driver-filled; zero/empty = not applicable).
   std::size_t threads = 0;
-  std::size_t chunk = 0;
   std::uint64_t seed = 0;
   std::string command;     ///< argv joined, for exact reruns
   double wall_time_s = 0;  ///< whole-process wall time, stamped at exit

@@ -2,9 +2,9 @@
 // hot paths and a DETERMINISTIC snapshot.
 //
 // The determinism contract is the whole point.  The lockstep engines are
-// bit-identical across thread counts and chunk sizes; attaching metrics
-// must not break that, and the metrics themselves must merge to the same
-// totals no matter how the work was sharded:
+// bit-identical across thread counts; attaching metrics must not break
+// that, and the metrics themselves must merge to the same totals no
+// matter how the work was sharded:
 //
 //   * Counter spreads its tally over a fixed number of cache-line-padded
 //     slots.  Writers pick a slot by *work identity* (shard index, lane

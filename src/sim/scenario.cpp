@@ -73,7 +73,6 @@ CoupledRackParams ScenarioSpec::build_rack() const {
   CoupledRackParams p = default_coupled_scenario(seed, duration_s);
   p.rack.num_servers = slots;
   p.plenum_enabled = plenum;
-  p.chunk = chunk;
   if (!coordinator.empty()) p.coordinator = coordinator;
   if (!dtm.empty()) p.rack.policy = dtm;
   if (rack_budget_watts >= 0.0) {
@@ -104,7 +103,6 @@ RoomParams ScenarioSpec::build_room() const {
     CoupledRackParams& rack = p.racks[r];
     rack.rack.num_servers = slots;
     rack.plenum_enabled = plenum;
-    rack.chunk = chunk;
     if (!coordinator.empty()) rack.coordinator = coordinator;
     if (!dtm.empty()) rack.rack.policy = dtm;
     if (rack_budget_watts >= 0.0) {
@@ -161,7 +159,6 @@ std::string ScenarioSpec::to_json(int indent) const {
   o.set("plenum", json::Value::boolean(plenum));
   o.set("cross_plenum", json::Value::boolean(cross_plenum));
   o.set("threads", json::Value::number(static_cast<double>(threads)));
-  o.set("chunk", json::Value::number(static_cast<double>(chunk)));
   o.set("trace_dir", json::Value::string(trace_dir));
   o.set("trace_pack", json::Value::string(trace_pack));
   o.set("faults", json::Value::parse(faults.to_json()));
@@ -232,8 +229,6 @@ ScenarioSpec ScenarioSpec::from_json_text(const std::string& text) {
       spec.cross_plenum = value.as_bool();
     } else if (key == "threads") {
       spec.threads = as_index(value, "threads");
-    } else if (key == "chunk") {
-      spec.chunk = as_index(value, "chunk");
     } else if (key == "trace_dir") {
       spec.trace_dir = value.as_string();
     } else if (key == "trace_pack") {

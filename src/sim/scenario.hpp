@@ -58,7 +58,6 @@ struct ScenarioSpec {
 
   // --- execution ---------------------------------------------------------
   std::size_t threads = 0;  ///< 0 = hardware concurrency
-  std::size_t chunk = 0;    ///< lanes per batch chunk; 0 = auto
 
   // --- inputs ------------------------------------------------------------
   std::string trace_dir;   ///< replay CSV traces (round-robin); empty = none

@@ -27,9 +27,16 @@
 // rethrows the first captured exception in participant order.  The
 // executor stays usable afterwards.
 //
-// Not supported: nested run() calls from inside a shard, and concurrent
-// run() calls from different threads (one lockstep driver owns the
-// executor).
+// Composition: a shard may drive a *different* executor — the facility
+// runs one executor of room leaders whose shards each drive their room's
+// own executor.  Each executor must be driven by one thread at a time;
+// the pre-assigned shards guarantee that when every inner executor
+// belongs to exactly one outer index.  An inner run()'s exception
+// escapes its shard and comes out of the outer run() like any other.
+//
+// Not supported: nested run() calls on the SAME executor from inside one
+// of its shards, and concurrent run() calls from different threads (one
+// lockstep driver owns the executor).
 #pragma once
 
 #include <atomic>

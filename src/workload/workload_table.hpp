@@ -13,8 +13,8 @@
 // EXACT expressions the per-lane path uses — the shared zoh_index helper
 // (workload/trace.hpp) over the same precomputed reciprocal, and
 // pack::kDequant for stored traces — so gather-on and gather-off runs are
-// EXPECT_EQ-identical across thread counts and chunk sizes (test_batch /
-// test_trace_store pin this).
+// EXPECT_EQ-identical across thread counts (test_batch / test_trace_store
+// pin this).
 //
 // Coverage: only pre-sampled sources can be tabled (SampledWorkload and
 // StoredTraceWorkload — every practical source; synthetic generators

@@ -7,18 +7,20 @@
 //     the same plant_kernel.hpp expressions);
 //   * RackBatchStepper's lane accounting (sensor phase, energy, junction
 //     statistics) against per-slot scalar Session::step_period, at every
-//     period boundary, across chunk widths and thread counts, under the
+//     period boundary, across range widths and thread counts, under the
 //     per-period fan overrides, cap limits, demand scales and inlet
 //     changes a coordinator and a room impose between periods, and under
 //     every sensor and fan fault kind armed and cleared at barriers;
-//   * a full coupled rack run and a full scheduled room across chunk
-//     widths and thread counts, against a 1-thread whole-rack-chunk run.
+//   * a full coupled rack run and a full scheduled room, on racks that
+//     split into several 8-lane chunks, across thread counts against the
+//     1-thread run.
 //
 // Every comparison below uses exact double equality (EXPECT_EQ), because
 // the design guarantee is "same FP operations in the same per-slot order",
 // not "small error".
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -273,6 +275,49 @@ TEST(ServerBatch, MemoCountersSeeHitsSharedHitsAndMisses) {
   EXPECT_EQ(batch.memo_hits(), hits_before + 4);
 }
 
+TEST(ServerBatch, MemoTotalsIdenticalAcrossRangeWidths) {
+  // The shared/miss split shifts with range boundaries (the rolling share
+  // restarts in every range); the lane total and the full hits cannot.
+  constexpr std::size_t kLanes = 7;
+  constexpr int kPeriods = 30;
+  std::uint64_t reference_hits = 0;
+  for (const std::size_t width : {kLanes, std::size_t{3}}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    Rng rng(9);
+    std::vector<std::unique_ptr<Server>> servers;
+    ServerBatch batch;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      servers.push_back(std::make_unique<Server>(Server::table1_defaults(rng)));
+      batch.add_server(*servers.back());
+    }
+    batch.prepare_dt(kDt);
+    batch.set_memo_telemetry(true);
+    for (int period = 0; period < kPeriods; ++period) {
+      // Lockstep slews: odd and even lanes share a command.
+      for (std::size_t i = 0; i < kLanes; ++i) {
+        const double cmd = period % 10 < 5
+                               ? 3000.0
+                               : 6000.0 + 500.0 * static_cast<double>(i % 2);
+        batch.set_inputs(i, 80.0, cmd, 40.0);
+      }
+      for (long s = 0; s < kSubstepsPerPeriod; ++s) {
+        for (std::size_t lo = 0; lo < kLanes; lo += width) {
+          batch.step_range(lo, std::min(lo + width, kLanes), kDt);
+        }
+      }
+    }
+    EXPECT_EQ(batch.memo_hits() + batch.memo_shared_hits() + batch.memo_misses(),
+              kLanes * kPeriods * kSubstepsPerPeriod);
+    EXPECT_GT(batch.memo_shared_hits(), 0u);
+    if (width == kLanes) {
+      reference_hits = batch.memo_hits();
+      EXPECT_GT(reference_hits, 0u);
+    } else {
+      EXPECT_EQ(batch.memo_hits(), reference_hits);
+    }
+  }
+}
+
 TEST(ServerBatch, CommandIsClampedIntoTheFanEnvelope) {
   Rng rng(1);
   Server server = Server::table1_defaults(rng);
@@ -451,22 +496,22 @@ TEST(LaneAccounting, StepperMatchesScalarSessionsEveryPeriod) {
   ASSERT_GT(want.back()[0].junction.n, 0u);
   ASSERT_TRUE(below_floor);
 
-  for (std::size_t chunk :
-       {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{0},
-        kLaneSlots}) {
+  for (std::size_t width :
+       {std::size_t{1}, std::size_t{3}, std::size_t{8}, kLaneSlots}) {
     for (std::size_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE("chunk=" + std::to_string(chunk) +
+      SCOPED_TRACE("width=" + std::to_string(width) +
                    " threads=" + std::to_string(threads));
       auto slots = make_lane_slots(rack);
       RackBatchStepper stepper;
-      stepper.set_chunk_lanes(chunk);
       for (auto& slot : slots) stepper.add_slot(*slot->session, slot->server);
       stepper.prepare();
       LockstepExecutor executor(threads);
+      const std::size_t ranges = (kLaneSlots + width - 1) / width;
       for (long p = 0; p < kLanePeriods; ++p) {
         for (std::size_t i = 0; i < kLaneSlots; ++i) steer(p, i, *slots[i]);
-        executor.run(stepper.num_chunks(), [&stepper](std::size_t c) {
-          stepper.advance_chunk_periods(c, 1);
+        executor.run(ranges, [&stepper, width](std::size_t r) {
+          stepper.advance_range_periods(
+              r * width, std::min((r + 1) * width, kLaneSlots), 1);
         });
         for (std::size_t i = 0; i < kLaneSlots; ++i) {
           SCOPED_TRACE("period=" + std::to_string(p) +
@@ -500,12 +545,26 @@ TEST(LaneAccounting, StepperAcceptsAnySink) {
                                     *slot.workload);
   RackBatchStepper stepper;
   EXPECT_NO_THROW(stepper.add_slot(session, slot.server));
-  EXPECT_NO_THROW(stepper.advance_periods(3));
+  stepper.prepare();
+  EXPECT_NO_THROW(stepper.advance_range_periods(0, 1, 3));
   EXPECT_EQ(session.periods_done(), 3);
   EXPECT_EQ(periods.periods(), 3);
 }
 
-// ------------------------- full rack and room: chunk x thread invariance
+TEST(LaneAccounting, RangeMustLieInsideTheBatch) {
+  RackParams rack = lane_rack();
+  rack.num_servers = 2;
+  auto slots = make_lane_slots(rack);
+  RackBatchStepper stepper;
+  for (auto& slot : slots) stepper.add_slot(*slot->session, slot->server);
+  stepper.prepare();
+  EXPECT_THROW(stepper.advance_range_periods(2, 1, 1), std::invalid_argument);
+  EXPECT_THROW(stepper.advance_range_periods(0, 3, 1), std::invalid_argument);
+  EXPECT_NO_THROW(stepper.advance_range_periods(2, 2, 1));  // empty range
+  EXPECT_EQ(slots[0]->session->periods_done(), 0);
+}
+
+// ---------------------------- full rack and room: thread invariance
 
 void expect_identical(const CoupledRackResult& a, const CoupledRackResult& b) {
   ASSERT_EQ(a.slots.size(), b.slots.size());
@@ -531,31 +590,28 @@ void expect_identical(const CoupledRackResult& a, const CoupledRackResult& b) {
   }
 }
 
+/// Slots per rack in the engine-level sweeps: two full 8-lane chunks and
+/// a ragged tail, so 2 and 8 threads split a rack across participants.
+constexpr std::size_t kSweepSlots = 19;
+
 CoupledRackParams rack_params(const std::string& coordinator) {
   CoupledRackParams p = default_coupled_scenario(1234, 240.0);
-  p.rack.num_servers = 6;
+  p.rack.num_servers = kSweepSlots;
+  // The default scenario's 1000 W budget is sized for its 8 slots.
+  p.coord.rack_power_budget_watts = 125.0 * static_cast<double>(kSweepSlots);
   p.coordinator = coordinator;
   return p;
 }
 
-TEST(BatchedRack, BitIdenticalAcrossChunkSizesAndThreads) {
-  // Reference: one whole-rack chunk on one thread.  Every chunk
-  // granularity {1, odd, auto} x {1, 2, 8} threads must reproduce it.
+TEST(BatchedRack, BitIdenticalAcrossThreads) {
+  // Reference: the 1-thread run.  2 and 8 threads must reproduce it.
   for (const char* coordinator : {"independent", "shared-fan-zone", "power-budget"}) {
-    CoupledRackParams ref_params = rack_params(coordinator);
-    ref_params.chunk = ref_params.rack.num_servers;
-    const CoupledRackResult ref = CoupledRackEngine(ref_params, 1).run();
-
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
-                              std::size_t{0} /* auto */}) {
-      for (std::size_t threads : {1u, 2u, 8u}) {
-        CoupledRackParams p = rack_params(coordinator);
-        p.chunk = chunk;
-        SCOPED_TRACE(std::string(coordinator) + " chunk=" +
-                     std::to_string(chunk) + " threads=" +
-                     std::to_string(threads));
-        expect_identical(ref, CoupledRackEngine(p, threads).run());
-      }
+    const CoupledRackResult ref = CoupledRackEngine(rack_params(coordinator), 1).run();
+    for (std::size_t threads : {2u, 8u}) {
+      SCOPED_TRACE(std::string(coordinator) +
+                   " threads=" + std::to_string(threads));
+      expect_identical(ref,
+                       CoupledRackEngine(rack_params(coordinator), threads).run());
     }
   }
 }
@@ -577,25 +633,20 @@ void expect_identical(const RoomResult& a, const RoomResult& b) {
   }
 }
 
-TEST(BatchedRoom, BitIdenticalAcrossChunkSizesAndThreads) {
-  // Reference: one whole-rack chunk per rack on one thread.
-  RoomParams ref_params = default_room_scenario(2, 77, 240.0);
-  ref_params.scheduler = "thermal-headroom";
-  for (CoupledRackParams& rack : ref_params.racks) {
-    rack.chunk = rack.rack.num_servers;
-  }
-  const RoomResult ref = RoomEngine(ref_params, 1).run();
-  ASSERT_GT(ref.migration_events, 0u);  // the scheduler must steer the racks
+RoomParams room_params() {
+  RoomParams p = default_room_scenario(2, 77, 240.0);
+  p.scheduler = "thermal-headroom";
+  for (CoupledRackParams& rack : p.racks) rack.rack.num_servers = kSweepSlots;
+  return p;
+}
 
-  for (std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      RoomParams p = default_room_scenario(2, 77, 240.0);
-      p.scheduler = "thermal-headroom";
-      for (CoupledRackParams& rack : p.racks) rack.chunk = chunk;
-      SCOPED_TRACE("chunk=" + std::to_string(chunk) +
-                   " threads=" + std::to_string(threads));
-      expect_identical(ref, RoomEngine(p, threads).run());
-    }
+TEST(BatchedRoom, BitIdenticalAcrossThreads) {
+  // Reference: the 1-thread run.
+  const RoomResult ref = RoomEngine(room_params(), 1).run();
+  ASSERT_GT(ref.migration_events, 0u);  // the scheduler must steer the racks
+  for (std::size_t threads : {2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_identical(ref, RoomEngine(room_params(), threads).run());
   }
 }
 

@@ -1,115 +1,38 @@
-// Facility tier: the two-level executor's determinism contract, exact
-// equivalence with standalone rooms under an unconstrained plant, the
-// cooling-plant saturation path, and the ScenarioSpec facility section.
+// Facility tier: the determinism contract of the facility team (room
+// leaders over per-room LockstepExecutors), that the team honours the
+// thread count, exact equivalence with standalone rooms under an
+// unconstrained plant, the cooling-plant saturation path, and the
+// ScenarioSpec facility section.
 //
 // The heart of the suite is EXPECT_EQ bit-identity: a facility run's
 // every observable — per-slot energies, violations, junction peaks,
 // inlet statistics, per-rack scale stats, per-room plant exposure — is
-// the same double-for-double across thread counts {1, 2, 8}, chunk
-// sizes {1, auto}, and both executors {flat, two-level}.  Rooms interact
-// only at facility barriers, and both executors drive the identical
+// the same double-for-double across thread counts {1, 2, 8}, on racks
+// wide enough to split into several 8-lane chunks, and with fewer
+// threads than rooms (one leader stepping two rooms).  Rooms interact
+// only at facility barriers, and every team shape drives the identical
 // per-room operation sequence between them, so there is nothing
 // schedule-dependent to observe.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/policy_factory.hpp"
 #include "facility/cooling_plant.hpp"
 #include "facility/facility_engine.hpp"
 #include "room/room_engine.hpp"
+#include "room/scheduler.hpp"
 #include "sim/scenario.hpp"
-#include "spawn_failure.hpp"
-#include "util/hierarchical_executor.hpp"
 #include "util/rng.hpp"
 
 namespace fsc {
 namespace {
-
-// ------------------------------------------------ HierarchicalExecutor
-
-TEST(HierarchicalExecutor, ValidatesConstruction) {
-  EXPECT_THROW(HierarchicalExecutor(0, 1), std::invalid_argument);
-  EXPECT_THROW(HierarchicalExecutor(1, 0), std::invalid_argument);
-}
-
-TEST(HierarchicalExecutor, AWorkerThatCannotStartIsANamedError) {
-  // Same contract as the flat executor: the threads already started are
-  // stopped and joined, and the constructor throws naming the worker.
-  if (!test::spawn_failure_supported()) {
-    GTEST_SKIP() << "needs Linux RLIMIT_AS without a sanitizer runtime";
-  }
-  EXPECT_EXIT(test::construct_with_capped_address_space(
-                  [] { HierarchicalExecutor exec(4, 4096, /*pin=*/false); }),
-              testing::ExitedWithCode(0),
-              "HierarchicalExecutor: could not start worker [0-9]+ of 4095: ");
-}
-
-TEST(HierarchicalExecutor, TeamCoversEveryGroup) {
-  // threads < groups: every group still gets its leader.
-  HierarchicalExecutor ex(4, 2, /*pin=*/false);
-  EXPECT_EQ(ex.num_groups(), 4u);
-  EXPECT_EQ(ex.size(), 4u);
-  std::size_t members = 0;
-  for (std::size_t g = 0; g < ex.num_groups(); ++g) {
-    EXPECT_GE(ex.group_size(g), 1u);
-    members += ex.group_size(g);
-  }
-  EXPECT_EQ(members, ex.size());
-}
-
-TEST(HierarchicalExecutor, RunsEveryGroupAndShardExactlyOnce) {
-  for (std::size_t groups : {1u, 2u, 3u}) {
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      HierarchicalExecutor ex(groups, threads, /*pin=*/false);
-      constexpr std::size_t kCount = 37;
-      std::vector<std::vector<std::atomic<int>>> hits(groups);
-      for (auto& v : hits) {
-        std::vector<std::atomic<int>> row(kCount);
-        v.swap(row);
-      }
-      for (int wave = 0; wave < 3; ++wave) {
-        ex.run_groups([&](std::size_t g) {
-          ex.run_in_group(g, kCount, [&, g](std::size_t i) {
-            hits[g][i].fetch_add(1, std::memory_order_relaxed);
-          });
-        });
-      }
-      for (std::size_t g = 0; g < groups; ++g) {
-        for (std::size_t i = 0; i < kCount; ++i) {
-          EXPECT_EQ(hits[g][i].load(), 3)
-              << "groups=" << groups << " threads=" << threads << " g=" << g
-              << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(HierarchicalExecutor, RethrowsShardAndGroupErrors) {
-  HierarchicalExecutor ex(2, 4, /*pin=*/false);
-  // Inner shard error propagates through run_in_group to run_groups to
-  // the caller.
-  EXPECT_THROW(ex.run_groups([&](std::size_t g) {
-    ex.run_in_group(g, 8, [g](std::size_t i) {
-      if (g == 1 && i == 5) throw std::runtime_error("shard boom");
-    });
-  }),
-               std::runtime_error);
-  // Direct group-callback error.
-  EXPECT_THROW(ex.run_groups([](std::size_t g) {
-    if (g == 0) throw std::logic_error("group boom");
-  }),
-               std::logic_error);
-  // The executor survives both.
-  std::atomic<int> ok{0};
-  ex.run_groups([&](std::size_t g) {
-    ex.run_in_group(g, 4, [&](std::size_t) { ok.fetch_add(1); });
-  });
-  EXPECT_EQ(ok.load(), 8);
-}
 
 // ------------------------------------------------------- CoolingPlant
 
@@ -151,22 +74,23 @@ TEST(CoolingPlant, WeatherOffsetIsExactZeroAtZeroAmplitude) {
 
 // ---------------------------------------------------- FacilityEngine
 
-/// 2 rooms x 2 racks x 4 slots at a test-sized horizon, under a plant
-/// constrained enough to throttle and a diurnal supply swing — the
+/// `rooms` rooms x 2 racks x 19 slots at a test-sized horizon, under a
+/// plant constrained enough to throttle and a diurnal supply swing — the
 /// identity sweep must hold on the *interesting* trajectories, not just
-/// the unconstrained identity.
-FacilityParams small_facility(std::size_t chunk) {
-  FacilityParams f = default_facility_scenario(2, 2, 42, 300.0);
+/// the unconstrained identity.  19 slots are two full 8-lane chunks and a
+/// ragged tail, so a room's own team has several shards per rack to split.
+FacilityParams small_facility(std::size_t rooms = 2) {
+  constexpr std::size_t kSlots = 19;
+  FacilityParams f = default_facility_scenario(rooms, 2, 42, 300.0);
   for (RoomParams& room : f.rooms) {
     for (CoupledRackParams& rack : room.racks) {
-      rack.rack.num_servers = 4;
-      rack.chunk = chunk;
+      rack.rack.num_servers = kSlots;
     }
   }
-  f.plant.capacity_watts = 600.0;  // ~16 mid-load servers want more
+  // ~37.5 W per server: mid-load servers want more.
+  f.plant.capacity_watts = 37.5 * static_cast<double>(rooms * 2 * kSlots);
   f.plant.supply_amplitude_c = 2.0;
   f.plant.supply_period_s = 600.0;
-  f.pin_topology = false;  // CI runners dislike affinity calls
   return f;
 }
 
@@ -228,36 +152,89 @@ void expect_identical(const FacilityResult& a, const FacilityResult& b) {
 
 TEST(FacilityEngine, ValidatesConstruction) {
   EXPECT_THROW(FacilityEngine(FacilityParams{}, 1), std::invalid_argument);
-  EXPECT_THROW(FacilityEngine(small_facility(0), 0),
+  EXPECT_THROW(FacilityEngine(small_facility(), 0),
                std::invalid_argument);
   // Rooms must share the lockstep timing.
-  FacilityParams p = small_facility(0);
+  FacilityParams p = small_facility();
   p.rooms[1].racks[0].coord.coordination_period_s = 60.0;
   EXPECT_THROW(FacilityEngine(std::move(p), 1), std::invalid_argument);
   // The facility period must be a whole multiple of the room round.
-  p = small_facility(0);
+  p = small_facility();
   p.facility_period_s = 45.0;  // rounds are 30 s
   EXPECT_THROW(FacilityEngine(std::move(p), 1), std::invalid_argument);
-  p = small_facility(0);
+  p = small_facility();
   p.facility_period_s = 90.0;
   const FacilityEngine ok(std::move(p), 1);
   EXPECT_EQ(ok.rounds_per_barrier(), 3u);
 }
 
-TEST(FacilityEngine, BitIdenticalAcrossThreadsAndChunks) {
-  const FacilityResult baseline =
-      FacilityEngine(small_facility(/*chunk=*/0), 1).run();
-  EXPECT_GT(baseline.facility_rounds, 0u);
-  for (std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                std::size_t{8}}) {
-      SCOPED_TRACE("chunk=" + std::to_string(chunk) +
+TEST(FacilityEngine, BitIdenticalAcrossThreads) {
+  // Two rooms at 2 and 8 threads: one leader per room, then four threads
+  // per room.  Three rooms at 2 threads: one leader steps two rooms one
+  // after the other; at 8, uneven 2/3/3 room teams.
+  for (std::size_t rooms : {std::size_t{2}, std::size_t{3}}) {
+    const FacilityResult baseline = FacilityEngine(small_facility(rooms), 1).run();
+    EXPECT_GT(baseline.facility_rounds, 0u);
+    for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+      SCOPED_TRACE("rooms=" + std::to_string(rooms) +
                    " threads=" + std::to_string(threads));
-      const FacilityResult run =
-          FacilityEngine(small_facility(chunk), threads).run();
-      expect_identical(baseline, run);
+      expect_identical(baseline,
+                       FacilityEngine(small_facility(rooms), threads).run());
     }
   }
+}
+
+/// The "static" scheduler that also records which threads called it: a
+/// room's scheduler runs on the thread that steps that room.
+class ThreadRecordingScheduler final : public RoomScheduler {
+ public:
+  static std::set<std::thread::id> take_ids() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(ids_, {});
+  }
+  std::string name() const override { return "thread-recorder"; }
+  void reset() override {}
+  void schedule(double, const std::vector<RackObservation>& racks,
+                std::vector<RackDirective>& out) override {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ids_.insert(std::this_thread::get_id());
+    }
+    out.assign(racks.size(), RackDirective{});
+  }
+
+ private:
+  static inline std::mutex mutex_;
+  static inline std::set<std::thread::id> ids_;
+};
+
+TEST(FacilityEngine, HonoursTheThreadCount) {
+  PolicyFactory& factory = PolicyFactory::instance();
+  if (!factory.contains_room_scheduler("thread-recorder")) {
+    factory.register_room_scheduler(
+        "thread-recorder", "static, recording its calling threads",
+        [](const RoomSchedulerConfig&) {
+          return std::make_unique<ThreadRecordingScheduler>();
+        });
+  }
+  FacilityParams f = default_facility_scenario(3, 2, 42, 120.0);
+  for (RoomParams& room : f.rooms) {
+    room.scheduler = "thread-recorder";
+    for (CoupledRackParams& rack : room.racks) rack.rack.num_servers = 4;
+  }
+  (void)ThreadRecordingScheduler::take_ids();
+
+  // One thread: every room is stepped on the caller.
+  FacilityEngine(f, 1).run();
+  const std::set<std::thread::id> one = ThreadRecordingScheduler::take_ids();
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(*one.begin(), std::this_thread::get_id());
+
+  // Two threads for three rooms: two leaders at most.
+  FacilityEngine(f, 2).run();
+  const std::set<std::thread::id> two = ThreadRecordingScheduler::take_ids();
+  EXPECT_GE(two.size(), 1u);
+  EXPECT_LE(two.size(), 2u);
 }
 
 TEST(FacilityEngine, UnconstrainedPlantEqualsStandaloneRooms) {
@@ -270,8 +247,7 @@ TEST(FacilityEngine, UnconstrainedPlantEqualsStandaloneRooms) {
   spec.slots = 4;
   spec.seed = 77;
   spec.duration_s = 300.0;
-  FacilityParams params = spec.build_facility();
-  params.pin_topology = false;
+  const FacilityParams params = spec.build_facility();
   ASSERT_FALSE(CoolingPlant(params.plant).constrained());
   const FacilityResult fac = FacilityEngine(params, 2).run();
 
@@ -292,7 +268,7 @@ TEST(FacilityEngine, UnconstrainedPlantEqualsStandaloneRooms) {
 
 TEST(FacilityEngine, ConstrainedPlantSaturatesAndThrottles) {
   const FacilityResult run =
-      FacilityEngine(small_facility(0), 2).run();
+      FacilityEngine(small_facility(), 2).run();
   EXPECT_GT(run.plant_saturated_rounds, 0u);
   double min_scale = 1.0;
   double max_offset = 0.0;
@@ -317,7 +293,6 @@ TEST(FacilityEngine, CoarseTimingRunsTheBenchConfig) {
     }
   }
   f.facility_period_s = 3600.0;
-  f.pin_topology = false;
   const FacilityEngine engine(std::move(f), 1);
   EXPECT_EQ(engine.rounds_per_barrier(), 6u);
   const FacilityResult run = engine.run();
@@ -328,7 +303,7 @@ TEST(FacilityEngine, CoarseTimingRunsTheBenchConfig) {
 }
 
 TEST(FacilityEngine, ReportsSerialize) {
-  const FacilityResult run = FacilityEngine(small_facility(0), 1).run();
+  const FacilityResult run = FacilityEngine(small_facility(), 1).run();
   EXPECT_NE(run.to_table().find("plant"), std::string::npos);
   EXPECT_NE(run.to_json().find("\"rooms\""), std::string::npos);
   EXPECT_NE(run.to_json("{\"x\": 1}").find("\"manifest\""), std::string::npos);

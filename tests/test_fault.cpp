@@ -1,7 +1,7 @@
 // fault/ subsystem tests: the empty-plan bit-identity contract (a run with
 // no faults armed is EXPECT_EQ-identical to a build without the fault
-// layer, across thread counts and chunk sizes), determinism of faulted
-// runs under the same sweeps, every batched lane — faulted or not —
+// layer, across thread counts on a rack several chunks wide), determinism
+// of faulted runs under the same sweep, every batched lane — faulted or not —
 // against its slot simulated alone with the same faults, FaultPlan JSON
 // rejection of malformed events,
 // component fault modes (sensor stuck / dropped / noisy, fan degraded /
@@ -44,6 +44,10 @@ CoupledRackParams small_params(std::size_t n = 6, double duration_s = 150.0) {
   p.coord.fan_zone_size = 4;
   return p;
 }
+
+/// Slots of the thread-sweep racks: two full 8-lane chunks and a ragged
+/// tail, so 2 and 8 threads split the rack across participants.
+constexpr std::size_t kSweepSlots = 19;
 
 void expect_identical(const CoupledRackResult& a, const CoupledRackResult& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -205,23 +209,17 @@ TEST(FanFault, DegradedCapsTheCeiling) {
 
 // --------------------------------------------------- empty-plan identity
 
-TEST(FaultInjection, EmptyPlanIsBitIdenticalAcrossThreadsAndChunks) {
+TEST(FaultInjection, EmptyPlanIsBitIdenticalAcrossThreads) {
   // The fault layer's core contract: an empty FaultPlan constructs no
   // injector at all, so the run is bit-identical to a pre-fault build —
-  // enforced here against the 1-thread baseline across the full
-  // thread x chunk sweep.
-  CoupledRackParams p = small_params();
+  // enforced here against the 1-thread baseline across the thread sweep.
+  CoupledRackParams p = small_params(kSweepSlots);
   p.coordinator = "shared-fan-zone";
   ASSERT_TRUE(p.faults.empty());
   const CoupledRackResult baseline = CoupledRackEngine(p, 1).run();
   for (std::size_t threads : {2u, 8u}) {
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
-      CoupledRackParams q = p;
-      q.chunk = chunk;
-      SCOPED_TRACE(testing::Message()
-                   << "threads=" << threads << " chunk=" << chunk);
-      expect_identical(baseline, CoupledRackEngine(q, threads).run());
-    }
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    expect_identical(baseline, CoupledRackEngine(p, threads).run());
   }
 }
 
@@ -239,19 +237,14 @@ TEST(FaultInjection, NeverFiringPlanMatchesEmptyPlan) {
 
 // ------------------------------------------------- faulted determinism
 
-TEST(FaultInjection, FaultedRunIsDeterministicAcrossThreadsAndChunks) {
-  CoupledRackParams p = small_params();
+TEST(FaultInjection, FaultedRunIsDeterministicAcrossThreads) {
+  CoupledRackParams p = small_params(kSweepSlots);
   p.coordinator = "failsafe";
   p.faults = mixed_plan();
   const CoupledRackResult baseline = CoupledRackEngine(p, 1).run();
   for (std::size_t threads : {2u, 8u}) {
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
-      CoupledRackParams q = p;
-      q.chunk = chunk;
-      SCOPED_TRACE(testing::Message()
-                   << "threads=" << threads << " chunk=" << chunk);
-      expect_identical(baseline, CoupledRackEngine(q, threads).run());
-    }
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    expect_identical(baseline, CoupledRackEngine(p, threads).run());
   }
 }
 
@@ -267,8 +260,8 @@ TEST(FaultInjection, FaultsChangeTheOutcome) {
             healthy.slots[1].result.max_junction_celsius);
 }
 
-/// Every plant fault kind on small_params()'s six slots, armed and (some)
-/// cleared at its 30 s barriers: a stuck, a noisy and a dropped sensor, a
+/// Every plant fault kind on slots 0-5, armed and (some) cleared at the
+/// 30 s barriers: a stuck, a noisy and a dropped sensor, a
 /// degraded ceiling below min_rpm that clears and one above it, a seized
 /// rotor at the default windmill speed that clears and one above
 /// min_rpm, and a blackout, which leaves the plant alone.
@@ -326,7 +319,7 @@ TEST(FaultInjection, EveryLaneMatchesItsScalarRunUnderFaults) {
   // sensor fault runs in the sensor's own sample path.  On an uncoupled
   // rack every slot, faulted or not, must match the slot simulated alone
   // through Server::step with the same faults armed at the same barriers.
-  CoupledRackParams p = small_params();
+  CoupledRackParams p = small_params(kSweepSlots);
   p.coordinator = "independent";
   p.plenum_enabled = false;
   p.faults = every_kind_plan();
@@ -345,27 +338,25 @@ TEST(FaultInjection, EveryLaneMatchesItsScalarRunUnderFaults) {
   std::vector<SimulationResult> alone;
   for (std::size_t i = 0; i < rack.size(); ++i) {
     alone.push_back(run_alone(i, p.faults));
-    // Every slot's faults change its run.
-    EXPECT_NE(alone[i].fan_energy_joules,
-              run_alone(i, FaultPlan{}).fan_energy_joules) << "slot " << i;
+    // Every faulted slot's faults change its run.
+    if (i < 6) {
+      EXPECT_NE(alone[i].fan_energy_joules,
+                run_alone(i, FaultPlan{}).fan_energy_joules) << "slot " << i;
+    }
   }
 
-  for (std::size_t threads : {1u, 2u}) {
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
-      p.chunk = chunk;
-      const CoupledRackResult faulted = CoupledRackEngine(p, threads).run();
-      for (std::size_t i = 0; i < rack.size(); ++i) {
-        SCOPED_TRACE(testing::Message() << "threads=" << threads
-                                        << " chunk=" << chunk << " slot=" << i);
-        EXPECT_EQ(faulted.slots[i].result.fan_energy_joules,
-                  alone[i].fan_energy_joules);
-        EXPECT_EQ(faulted.slots[i].result.cpu_energy_joules,
-                  alone[i].cpu_energy_joules);
-        EXPECT_EQ(faulted.slots[i].result.max_junction_celsius,
-                  alone[i].junction_stats.max());
-        EXPECT_EQ(faulted.slots[i].deadline_violations,
-                  alone[i].deadline.violations());
-      }
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    const CoupledRackResult faulted = CoupledRackEngine(p, threads).run();
+    for (std::size_t i = 0; i < rack.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads << " slot=" << i);
+      EXPECT_EQ(faulted.slots[i].result.fan_energy_joules,
+                alone[i].fan_energy_joules);
+      EXPECT_EQ(faulted.slots[i].result.cpu_energy_joules,
+                alone[i].cpu_energy_joules);
+      EXPECT_EQ(faulted.slots[i].result.max_junction_celsius,
+                alone[i].junction_stats.max());
+      EXPECT_EQ(faulted.slots[i].deadline_violations,
+                alone[i].deadline.violations());
     }
   }
 }

@@ -1,15 +1,19 @@
 // LockstepExecutor unit tests: contiguous pre-assigned shard spans,
 // exactly-once execution, epoch/barrier reuse across thousands of rounds,
 // exception propagation (and survival), a worker that cannot start,
-// caller participation, and a determinism stress over 1/2/8 threads.
+// caller participation, a determinism stress over 1/2/8 threads, and the
+// facility's composition of an outer executor driving inner ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -176,6 +180,68 @@ TEST(LockstepExecutor, DeterministicSumAcross128Threads) {
       reference = values;
     } else {
       EXPECT_EQ(values, reference) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(LockstepExecutor, ComposesWithOneInnerExecutorPerOuterIndex) {
+  // The facility's team: an outer executor of min(threads, rooms) leaders
+  // whose shards each drive their room's own inner executor, sized
+  // threads*(g+1)/rooms - threads*g/rooms when threads > rooms, else 1.
+  constexpr std::size_t kCount = 37;
+  for (std::size_t rooms : {1u, 2u, 3u}) {
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("rooms=" + std::to_string(rooms) +
+                   " threads=" + std::to_string(threads));
+      LockstepExecutor outer(std::min(threads, rooms));
+      std::vector<std::unique_ptr<LockstepExecutor>> inner;
+      std::size_t team = outer.size();
+      for (std::size_t g = 0; g < rooms; ++g) {
+        const std::size_t size =
+            threads > rooms ? threads * (g + 1) / rooms - threads * g / rooms
+                            : 1;
+        inner.push_back(std::make_unique<LockstepExecutor>(size));
+        team += size - 1;  // the inner caller is the room's leader
+      }
+      EXPECT_EQ(team, threads);
+
+      std::vector<std::vector<std::atomic<int>>> hits(rooms);
+      for (auto& row : hits) {
+        std::vector<std::atomic<int>> fresh(kCount);
+        row.swap(fresh);
+      }
+      for (int wave = 0; wave < 3; ++wave) {
+        outer.run(rooms, [&](std::size_t g) {
+          inner[g]->run(kCount, [&hits, g](std::size_t i) {
+            hits[g][i].fetch_add(1, std::memory_order_relaxed);
+          });
+        });
+      }
+      for (std::size_t g = 0; g < rooms; ++g) {
+        for (std::size_t i = 0; i < kCount; ++i) {
+          EXPECT_EQ(hits[g][i].load(), 3) << "room " << g << " index " << i;
+        }
+      }
+
+      // An inner shard's exception leaves the outer run() with its type.
+      EXPECT_THROW(outer.run(rooms,
+                             [&](std::size_t g) {
+                               inner[g]->run(kCount, [g, rooms](std::size_t i) {
+                                 if (g == rooms - 1 && i == 5) {
+                                   throw std::out_of_range("inner shard");
+                                 }
+                               });
+                             }),
+                   std::out_of_range);
+
+      // Both levels stay usable.
+      std::atomic<std::size_t> after{0};
+      outer.run(rooms, [&](std::size_t g) {
+        inner[g]->run(kCount, [&after](std::size_t) {
+          after.fetch_add(1, std::memory_order_relaxed);
+        });
+      });
+      EXPECT_EQ(after.load(), rooms * kCount);
     }
   }
 }

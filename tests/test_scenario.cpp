@@ -74,7 +74,6 @@ TEST(ScenarioSpec, BuildRackAppliesOverrides) {
   spec.dtm = "fan-only";
   spec.rack_budget_watts = 750.0;
   spec.fan_zone = 5;
-  spec.chunk = 2;
   spec.plenum = false;
   spec.faults.events.push_back(
       {FaultKind::kSlotBlackout, 0, 1, 60.0, -1.0, 0.0});
@@ -86,7 +85,6 @@ TEST(ScenarioSpec, BuildRackAppliesOverrides) {
   EXPECT_EQ(p.rack.policy, "fan-only");
   EXPECT_DOUBLE_EQ(p.coord.rack_power_budget_watts, 750.0);
   EXPECT_EQ(p.coord.fan_zone_size, 5u);
-  EXPECT_EQ(p.chunk, 2u);
   EXPECT_FALSE(p.plenum_enabled);
   EXPECT_EQ(p.faults, spec.faults);
 }
@@ -149,7 +147,6 @@ ScenarioSpec fancy_spec() {
   spec.plenum = false;
   spec.cross_plenum = false;
   spec.threads = 4;
-  spec.chunk = 2;
   spec.trace_dir = "traces/";
   spec.faults.events.push_back(
       {FaultKind::kSensorNoisy, 1, 3, 120.0, 60.0, 3.0});
@@ -182,7 +179,7 @@ TEST(ScenarioSpec, RemovedExecutionKeysAreRejectedByName) {
   // are unknown keys now: a file that still sets one must fail, naming
   // the key, rather than silently run something else.
   for (const char* key :
-       {"batched", "executor", "gather", "two_level", "simd"}) {
+       {"batched", "executor", "gather", "two_level", "simd", "chunk"}) {
     SCOPED_TRACE(key);
     const std::string text = std::string("{\"") + key + "\": false}";
     try {
@@ -204,7 +201,7 @@ TEST(ScenarioSpec, MalformedValuesThrow) {
   // Range-checked before the cast, which is undefined past std::size_t.
   EXPECT_THROW(ScenarioSpec::from_json_text(R"({"slots": 1e300})"),
                std::invalid_argument);
-  EXPECT_THROW(ScenarioSpec::from_json_text(R"({"chunk": 18446744073709551616})"),
+  EXPECT_THROW(ScenarioSpec::from_json_text(R"({"threads": 18446744073709551616})"),
                std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::from_json_text(R"({"racks": 1e999})"),
                std::invalid_argument);

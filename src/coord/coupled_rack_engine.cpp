@@ -113,7 +113,8 @@ struct CoupledRackEngine::Session::Impl {
   std::uint32_t rack_label = 0;
 #endif
 
-  explicit Impl(const CoupledRackParams& p) : params(p), rack(p.rack) {
+  Impl(const CoupledRackParams& p, LockstepExecutor& team)
+      : params(p), rack(p.rack) {
     const SimulationParams& sim = params.rack.sim;
     const SolutionConfig& solution = params.rack.solution;
 
@@ -130,11 +131,15 @@ struct CoupledRackEngine::Session::Impl {
     periods_per_round =
         derive_fan_divider(sim.cpu_period_s, cfg.coordination_period_s);
 
-    slots.reserve(rack.size());
-    for (const RackServerSpec& spec : rack.servers()) {
-      slots.push_back(
-          std::make_unique<SlotRuntime>(spec, params.rack.policy, sim));
-    }
+    // One team wave builds the slot runtimes: each seeds its own Rng from
+    // its spec and shares nothing mutable with its neighbours, so the
+    // build order cannot change a bit.  A failed build rethrows the
+    // lowest slot's error, the one a serial loop would have thrown.
+    slots.resize(rack.size());
+    team.run(slots.size(), [&](std::size_t i) {
+      slots[i] = std::make_unique<SlotRuntime>(rack.servers()[i],
+                                               params.rack.policy, sim);
+    });
 
     for (const auto& rt : slots) stepper.add_slot(*rt->session, rt->server);
     // Table every lane once, up front.  A single non-tableable workload
@@ -156,17 +161,6 @@ struct CoupledRackEngine::Session::Impl {
     // later step concurrently and must never refresh shared state.
     stepper.prepare();
 
-    if (!params.faults.empty()) {
-      std::vector<Server*> servers;
-      servers.reserve(slots.size());
-      for (const auto& rt : slots) servers.push_back(&rt->server);
-      injector = std::make_unique<FaultInjector>(
-          params.faults, std::move(servers), params.obs);
-      // Arm anything scheduled at t = 0 before the first period steps, so a
-      // from-the-start fault shapes the whole run.
-      injector->advance(0.0);
-    }
-
     if (params.plenum_enabled) {
       std::vector<double> base_inlets;
       base_inlets.reserve(slots.size());
@@ -187,15 +181,35 @@ struct CoupledRackEngine::Session::Impl {
           *params.obs.metrics, static_cast<std::size_t>(rack_label) * rack.size());
     }
 #endif
+
+    // After the telemetry handles, so every rack registers its metrics as
+    // a prefix of one name sequence, and racks built concurrently by a
+    // room still register them in a deterministic order.
+    if (!params.faults.empty()) {
+      std::vector<Server*> servers;
+      servers.reserve(slots.size());
+      for (const auto& rt : slots) servers.push_back(&rt->server);
+      injector = std::make_unique<FaultInjector>(
+          params.faults, std::move(servers), params.obs);
+      // Arm anything scheduled at t = 0 before the first period steps, so a
+      // from-the-start fault shapes the whole run.
+      injector->advance(0.0);
+    }
   }
 };
 
-CoupledRackEngine::Session::Session(const CoupledRackParams& params) {
+CoupledRackEngine::Session::Session(const CoupledRackParams& params,
+                                    LockstepExecutor& team) {
   // Validate coordination timing up front, exactly like the engine ctor.
   (void)derive_fan_divider(params.rack.sim.cpu_period_s,
                            params.coord.coordination_period_s);
-  impl_ = std::make_unique<Impl>(params);
+  impl_ = std::make_unique<Impl>(params, team);
 }
+
+// A one-participant team runs its wave inline on this thread; the
+// temporary outlives the delegated constructor (end of full-expression).
+CoupledRackEngine::Session::Session(const CoupledRackParams& params)
+    : Session(params, *std::make_unique<LockstepExecutor>(1)) {}
 
 CoupledRackEngine::Session::~Session() = default;
 
@@ -431,7 +445,7 @@ CoupledRackResult CoupledRackEngine::run() const {
   // Persistent workers: pre-assigned chunk shards behind one epoch barrier
   // per round — no per-round task submission at all.
   LockstepExecutor executor(threads_);
-  Session session(params_);
+  Session session(params_, executor);
   const std::size_t shards = session.num_shards();
 
 #if FSC_OBS_ENABLED

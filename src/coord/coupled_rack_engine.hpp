@@ -38,6 +38,8 @@
 
 namespace fsc {
 
+class LockstepExecutor;
+
 /// Everything a coupled run needs: the rack (specs, slot policy, timing),
 /// the coordinator selection, and the coupling physics.
 ///
@@ -133,7 +135,15 @@ class CoupledRackEngine {
    public:
     /// Builds the slot runtimes and their batch stepper, resolves the
     /// coordinator by name, and settles every slot at its initial
-    /// operating point.
+    /// operating point.  The slot runtimes are built as one wave on
+    /// `team` (each slot seeds its own Rng, so the result does not depend
+    /// on the team's size); the rest of the setup runs on the calling
+    /// thread.  `team` must not be the executor whose shard is calling —
+    /// the same no-nested-run() rule as LockstepExecutor::run.  A failed
+    /// slot build throws the lowest failing slot's error.
+    Session(const CoupledRackParams& params, LockstepExecutor& team);
+    /// The same construction on a one-participant team (all on the
+    /// calling thread).
     explicit Session(const CoupledRackParams& params);
     ~Session();
     Session(const Session&) = delete;

@@ -159,20 +159,46 @@ FacilityResult FacilityEngine::run() const {
   const std::size_t num_rooms = params_.rooms.size();
   const std::size_t barrier_rounds = rounds_per_barrier_;
 
+  // The team: room leaders, and one executor per room for its build and
+  // shard waves.  With more threads than rooms, room g's executor gets its share
+  // of the team, [threads*g/rooms, threads*(g+1)/rooms), leader included;
+  // otherwise each room's executor is its leader alone.  Either way the
+  // team is exactly threads_ wide, and a leader owns its rooms for the
+  // whole run, so each room executor is driven by one thread only.
+  LockstepExecutor room_leaders(std::min(threads_, num_rooms));
+  std::vector<std::unique_ptr<LockstepExecutor>> room_teams;
+  room_teams.reserve(num_rooms);
+  for (std::size_t g = 0; g < num_rooms; ++g) {
+    const std::size_t size =
+        threads_ > num_rooms
+            ? threads_ * (g + 1) / num_rooms - threads_ * g / num_rooms
+            : 1;
+    room_teams.push_back(std::make_unique<LockstepExecutor>(size));
+  }
+
   // Per-room sessions, telemetry fanned down with a globally unique
   // rack-label base per room; snapshot/progress stay at facility scope.
-  std::vector<std::unique_ptr<RoomEngine::Session>> rooms;
-  rooms.reserve(num_rooms);
-  std::uint32_t rack_base = 0;
-  for (std::size_t r = 0; r < num_rooms; ++r) {
-    RoomParams room_params = params_.rooms[r];
+  // The leaders build them in one wave, each room on its own team — the
+  // same leader and team that step it afterwards.
+  std::vector<std::uint32_t> rack_bases(num_rooms, 0);
+  for (std::size_t g = 1; g < num_rooms; ++g) {
+    rack_bases[g] = rack_bases[g - 1] +
+                    static_cast<std::uint32_t>(params_.rooms[g - 1].racks.size());
+  }
+  std::vector<std::unique_ptr<RoomEngine::Session>> rooms(num_rooms);
+  room_leaders.run(num_rooms, [&](std::size_t g) {
+#if FSC_OBS_ENABLED
+    const obs::ScopedSpan span(params_.obs.trace, "facility.room_setup",
+                               "setup", static_cast<std::uint32_t>(g));
+#endif
+    RoomParams room_params = params_.rooms[g];
     room_params.obs = params_.obs;
-    room_params.obs.rack = rack_base;
+    room_params.obs.rack = rack_bases[g];
     room_params.obs.snapshot = nullptr;
     room_params.obs.progress = nullptr;
-    rooms.push_back(std::make_unique<RoomEngine::Session>(room_params));
-    rack_base += static_cast<std::uint32_t>(room_params.racks.size());
-  }
+    rooms[g] =
+        std::make_unique<RoomEngine::Session>(room_params, *room_teams[g]);
+  });
 
   const CoolingPlant plant(params_.plant);
 
@@ -214,22 +240,6 @@ FacilityResult FacilityEngine::run() const {
     return saturated;
   };
 
-  // The team: room leaders, and one executor per room for its shard
-  // waves.  With more threads than rooms, room g's executor gets its share
-  // of the team, [threads*g/rooms, threads*(g+1)/rooms), leader included;
-  // otherwise each room's executor is its leader alone.  Either way the
-  // team is exactly threads_ wide, and a leader owns its rooms for the
-  // whole run, so each room executor is driven by one thread only.
-  LockstepExecutor room_leaders(std::min(threads_, num_rooms));
-  std::vector<std::unique_ptr<LockstepExecutor>> room_teams;
-  room_teams.reserve(num_rooms);
-  for (std::size_t g = 0; g < num_rooms; ++g) {
-    const std::size_t size =
-        threads_ > num_rooms
-            ? threads_ * (g + 1) / num_rooms - threads_ * g / num_rooms
-            : 1;
-    room_teams.push_back(std::make_unique<LockstepExecutor>(size));
-  }
   while (!rooms.front()->done()) {
 #if FSC_OBS_ENABLED
     const std::int64_t round_t0 = tel.attached ? obs::monotonic_ns() : 0;

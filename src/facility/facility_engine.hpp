@@ -7,8 +7,9 @@
 // whole number of room coordination rounds).  Between barriers each room
 // is a fully independent RoomEngine::Session.  The team is built from
 // LockstepExecutors: one executor of room leaders (min(threads, rooms)
-// wide) runs one wave per facility barrier, and each room owns a private
-// executor that its leader drives for the room's shard waves.  With more
+// wide) runs one wave that builds the rooms and then one wave per
+// facility barrier, and each room owns a private executor that its
+// leader drives for the room's rack-building and shard waves.  With more
 // threads than rooms the surplus is split across the rooms' executors;
 // otherwise a leader steps its rooms one after another.  The team is
 // exactly `threads` wide.  Rooms step their rounds with no cross-room

@@ -280,7 +280,7 @@ struct RoomEngine::Session::Impl {
   std::int64_t round_t0 = 0;
 #endif
 
-  explicit Impl(const RoomParams& p)
+  Impl(const RoomParams& p, LockstepExecutor& team)
       : params(p)
 #if FSC_OBS_ENABLED
         ,
@@ -289,8 +289,11 @@ struct RoomEngine::Session::Impl {
   {
     validate_room_params(params);
     const std::size_t num_racks = params.racks.size();
-    racks.reserve(num_racks);
-    for (std::size_t i = 0; i < num_racks; ++i) {
+    // One team wave builds the rack sessions (racks share no mutable
+    // state, so the result does not depend on the team); a failed build
+    // rethrows the lowest rack's error.
+    racks.resize(num_racks);
+    team.run(num_racks, [&](std::size_t i) {
       // Fan the room's telemetry down to each rack session, stamped with
       // its rack index (offset by the room's own label base so facility
       // rooms get globally unique rack labels); snapshot/progress stay at
@@ -300,11 +303,14 @@ struct RoomEngine::Session::Impl {
       rack_params.obs.rack = params.obs.rack + static_cast<std::uint32_t>(i);
       rack_params.obs.snapshot = nullptr;
       rack_params.obs.progress = nullptr;
-      racks.push_back(
-          std::make_unique<CoupledRackEngine::Session>(rack_params));
-      total_slots += racks.back()->num_slots();
-    }
+#if FSC_OBS_ENABLED
+      const obs::ScopedSpan span(params.obs.trace, "room.rack_setup", "setup",
+                                 rack_params.obs.rack);
+#endif
+      racks[i] = std::make_unique<CoupledRackEngine::Session>(rack_params);
+    });
     for (const auto& rack : racks) {
+      total_slots += rack->num_slots();
       for (std::size_t c = 0; c < rack->num_shards(); ++c) {
         shards.push_back(RoomShard{rack.get(), c});
       }
@@ -492,8 +498,13 @@ struct RoomEngine::Session::Impl {
   }
 };
 
+RoomEngine::Session::Session(const RoomParams& params, LockstepExecutor& team)
+    : impl_(std::make_unique<Impl>(params, team)) {}
+
+// A one-participant team runs its wave inline on this thread; the
+// temporary outlives the delegated constructor (end of full-expression).
 RoomEngine::Session::Session(const RoomParams& params)
-    : impl_(std::make_unique<Impl>(params)) {}
+    : Session(params, *std::make_unique<LockstepExecutor>(1)) {}
 
 RoomEngine::Session::~Session() = default;
 
@@ -568,8 +579,8 @@ RoomResult RoomEngine::Session::finish() { return impl_->finish(); }
 RoomResult RoomEngine::run() const {
   // One epoch per round steps every rack's every chunk: intra-rack
   // parallelism falls out of the flat shard list.
-  Session session(params_);
   LockstepExecutor executor(threads_);
+  Session session(params_, executor);
   while (!session.done()) {
     session.mark_round_start();
     executor.run(session.num_shards(),

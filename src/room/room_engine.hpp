@@ -140,8 +140,17 @@ class RoomEngine {
   /// facility call is bit-identical to a standalone run.
   class Session {
    public:
-    /// Executor-agnostic construction: the caller drives run_shard().
-    /// Validates the params exactly like the RoomEngine constructor.
+    /// Validates the params exactly like the RoomEngine constructor and
+    /// builds the rack sessions as one wave on `team` (each rack from its
+    /// own params, so the result does not depend on the team's size); the
+    /// scheduler and plenum follow on the calling thread.  `team` only
+    /// builds: the caller still drives run_shard() on any executor.
+    /// `team` must not be the executor whose shard is calling — the same
+    /// no-nested-run() rule as LockstepExecutor::run.  A failed rack build
+    /// throws the lowest failing rack's error.
+    Session(const RoomParams& params, LockstepExecutor& team);
+    /// The same construction on a one-participant team (all on the
+    /// calling thread).
     explicit Session(const RoomParams& params);
     ~Session();
     Session(const Session&) = delete;

@@ -24,6 +24,16 @@ class Rng {
   }
 
   /// Normal deviate with the given mean and standard deviation.
+  ///
+  /// Each call builds a fresh std::normal_distribution, so the polar
+  /// method's second (spare) deviate is discarded and every draw costs two
+  /// uniform pairs plus a log and a sqrt.  Synthetic workloads draw one
+  /// deviate per sample, which makes make_square_noise_workload about
+  /// three quarters of a one-thread session's setup.  Caching the spare
+  /// would halve that, but it changes every later draw and so moves every
+  /// golden digest; it waits for a tolerance-checked golden summary
+  /// (ROADMAP item 4).  test_util's Rng.GaussianStreamIsPinned pins the
+  /// current stream.
   double gaussian(double mean, double stddev) {
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }

@@ -4,9 +4,11 @@
 // the rack, and the coordination benefit on the default scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 
 #include "coord/coupled_rack_engine.hpp"
 #include "coord/plenum.hpp"
@@ -14,6 +16,7 @@
 #include "core/policy_factory.hpp"
 #include "rack/rack.hpp"
 #include "sim/simulation.hpp"
+#include "util/lockstep_executor.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/trace_io.hpp"
 
@@ -281,6 +284,65 @@ TEST(CoupledRackEngine, RepeatedRunsAreIdentical) {
   p.coordinator = "shared-fan-zone";
   const CoupledRackEngine engine(p, 2);
   expect_identical(engine.run(), engine.run());
+}
+
+/// Steps a session to its end on a one-thread executor and aggregates, so
+/// two sessions driven this way differ only in how they were built.
+CoupledRackResult drive_serially(CoupledRackEngine::Session& session) {
+  LockstepExecutor one(1);
+  while (!session.done()) {
+    one.run(session.num_shards(),
+            [&session](std::size_t i) { session.run_shard(i); });
+    session.coordinate_round();
+  }
+  return session.finish();
+}
+
+/// what() of the std::out_of_range `build` throws ("" when none).
+template <typename Build>
+std::string out_of_range_what(Build&& build) {
+  try {
+    build();
+  } catch (const std::out_of_range& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CoupledRackEngine, BuildingOnATeamChangesNothing) {
+  // 19 slots: two full 8-lane chunks and a ragged tail.  Teams of 2, 3, 4
+  // and 8 split the slot wave evenly and unevenly.
+  CoupledRackParams p = small_params(19);
+  p.coordinator = "shared-fan-zone";
+  CoupledRackEngine::Session serial(p);
+  const CoupledRackResult reference = drive_serially(serial);
+  for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    LockstepExecutor team(threads);
+    CoupledRackEngine::Session built(p, team);
+    const CoupledRackResult result = drive_serially(built);
+    expect_identical(reference, result);
+    EXPECT_EQ(reference.to_json(), result.to_json());
+  }
+}
+
+TEST(CoupledRackEngine, TeamBuildThrowsTheSerialError) {
+  CoupledRackParams p = small_params(19);
+  p.rack.policy = "no-such-policy";
+  const std::string serial =
+      out_of_range_what([&] { CoupledRackEngine::Session s(p); });
+  ASSERT_NE(serial.find("no-such-policy"), std::string::npos) << serial;
+
+  LockstepExecutor team(4);
+  EXPECT_EQ(out_of_range_what([&] { CoupledRackEngine::Session s(p, team); }),
+            serial);
+  // The team survives the failed wave: it runs the next one in full and
+  // builds a valid session.
+  std::vector<int> ran(8, 0);
+  team.run(ran.size(), [&ran](std::size_t i) { ran[i] = 1; });
+  EXPECT_EQ(std::count(ran.begin(), ran.end(), 1), 8);
+  const CoupledRackEngine::Session ok(small_params(19), team);
+  EXPECT_EQ(ok.num_slots(), 19u);
 }
 
 TEST(CoupledRackEngine, UncoupledIndependentMatchesPerSlotRunsExactly) {

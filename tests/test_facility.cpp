@@ -170,12 +170,14 @@ TEST(FacilityEngine, ValidatesConstruction) {
 
 TEST(FacilityEngine, BitIdenticalAcrossThreads) {
   // Two rooms at 2 and 8 threads: one leader per room, then four threads
-  // per room.  Three rooms at 2 threads: one leader steps two rooms one
-  // after the other; at 8, uneven 2/3/3 room teams.
+  // per room.  Three rooms at 2 threads: one leader builds and steps two
+  // rooms one after the other; at 7 and 8, uneven 2/2/3 and 2/3/3 room
+  // teams.
   for (std::size_t rooms : {std::size_t{2}, std::size_t{3}}) {
     const FacilityResult baseline = FacilityEngine(small_facility(rooms), 1).run();
     EXPECT_GT(baseline.facility_rounds, 0u);
-    for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    for (std::size_t threads :
+         {std::size_t{2}, std::size_t{7}, std::size_t{8}}) {
       SCOPED_TRACE("rooms=" + std::to_string(rooms) +
                    " threads=" + std::to_string(threads));
       expect_identical(baseline,

@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "coord/coupled_rack_engine.hpp"
+#include "facility/facility_engine.hpp"
+#include "fault/fault_plan.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -527,6 +529,26 @@ TEST(ObsEngine, RegistryCountersIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ObsEngine, EveryRackRegistersAPrefixOfOneNameSequence) {
+  // A room builds its racks concurrently, so the registry's name order is
+  // deterministic only if every rack registers a prefix of one sequence:
+  // a faulted rack's fault counters come after the names every rack has.
+  obs::MetricsRegistry registry;
+  CoupledRackParams p = small_rack(11);
+  p.faults.events.push_back({FaultKind::kFanSeized, 0, 1, 30.0, -1.0, 0.0});
+  p.obs.metrics = &registry;
+  const CoupledRackEngine::Session session(p);
+  std::vector<std::string> names;
+  for (const auto& counter : registry.snapshot().counters) {
+    names.push_back(counter.first);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "rack.rounds", "rack.fan_override_rounds",
+                       "batch.memo_hit", "batch.memo_shared_hit",
+                       "batch.memo_miss", "fault.events_armed",
+                       "fault.events_cleared"}));
+}
+
 TEST(ObsEngine, BatchAccessorsReadTheAttachedRegistry) {
   obs::MetricsRegistry registry;
   CoupledRackParams p = small_rack(11);
@@ -550,8 +572,9 @@ TEST(ObsEngine, TraceSpansCoverEveryLayerAndNest) {
   trace.write_json(os);
   const std::string json = os.str();
   ASSERT_TRUE(valid_json(json)) << json.substr(0, 400);
-  for (const char* name : {"room.round", "room.schedule", "room.plenum",
-                           "rack.shard", "rack.coord", "rack.plenum"}) {
+  for (const char* name : {"room.rack_setup", "room.round", "room.schedule",
+                           "room.plenum", "rack.shard", "rack.coord",
+                           "rack.plenum"}) {
     EXPECT_NE(json.find(std::string("\"") + name + "\""), std::string::npos)
         << name;
   }
@@ -603,6 +626,38 @@ TEST(ObsEngine, TraceSpansCoverEveryLayerAndNest) {
           << "," << a1 << ") vs [" << b0 << "," << b1 << ")";
     }
   }
+}
+
+/// Occurrences of the quoted event name `name` in trace JSON `json`.
+std::size_t count_events(const std::string& json, const char* name) {
+  const std::string quoted = std::string("\"") + name + "\"";
+  std::size_t n = 0;
+  for (std::size_t pos = 0; (pos = json.find(quoted, pos)) != std::string::npos;
+       pos += quoted.size()) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ObsEngine, FacilitySetupSpansLeaveTheRunBitIdentical) {
+  // Three rooms of two racks on two threads: one leader builds two rooms.
+  const FacilityParams detached = default_facility_scenario(3, 2, 42, 120.0);
+  const FacilityResult base = FacilityEngine(detached, 2).run();
+
+  obs::TraceRecorder trace;
+  FacilityParams attached = detached;
+  attached.obs.trace = &trace;
+  const FacilityResult observed = FacilityEngine(attached, 2).run();
+
+  EXPECT_EQ(base.to_json(), observed.to_json());
+  EXPECT_EQ(base.fan_energy_joules, observed.fan_energy_joules);
+  EXPECT_EQ(base.cpu_energy_joules, observed.cpu_energy_joules);
+  std::ostringstream os;
+  trace.write_json(os);
+  const std::string json = os.str();
+  ASSERT_TRUE(valid_json(json)) << json.substr(0, 400);
+  EXPECT_EQ(count_events(json, "facility.room_setup"), 3u);
+  EXPECT_EQ(count_events(json, "room.rack_setup"), 6u);
 }
 
 TEST(ObsEngine, SnapshotExporterEmitsPerRackAndAggregateRows) {

@@ -8,13 +8,17 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "coord/coupled_rack_engine.hpp"
 #include "core/policy_factory.hpp"
+#include "fault/fault_plan.hpp"
+#include "obs/metrics.hpp"
 #include "room/cross_plenum.hpp"
 #include "room/room_engine.hpp"
 #include "room/schedulers.hpp"
 #include "sim/instrumentation.hpp"
+#include "util/lockstep_executor.hpp"
 #include "workload/synthetic.hpp"
 
 namespace fsc {
@@ -359,6 +363,91 @@ TEST(RoomEngine, BitIdenticalAcross1And2And8Threads) {
     EXPECT_EQ(one.migration_events, two.migration_events);
     EXPECT_EQ(one.migration_events, eight.migration_events);
     EXPECT_EQ(one.total_energy_joules, eight.total_energy_joules);
+  }
+}
+
+/// Steps a room session to its end on a one-thread executor and
+/// aggregates, so two sessions driven this way differ only in how they
+/// were built.
+RoomResult drive_serially(RoomEngine::Session& session) {
+  LockstepExecutor one(1);
+  while (!session.done()) {
+    session.mark_round_start();
+    one.run(session.num_shards(),
+            [&session](std::size_t i) { session.run_shard(i); });
+    session.finish_round();
+  }
+  return session.finish();
+}
+
+/// An 8-rack room of 9-slot racks under thermal-headroom, with fans seized
+/// in racks 3 and 6 so only some racks build a fault injector.
+RoomParams eight_rack_room() {
+  RoomParams p = small_room(8, 9);
+  p.scheduler = "thermal-headroom";
+  p.sched.hysteresis_celsius = 0.25;
+  for (const std::size_t rack : {3u, 6u}) {
+    p.racks[rack].faults.events.push_back(
+        {FaultKind::kFanSeized, 0, 1, 30.0, -1.0, 0.0});
+  }
+  return p;
+}
+
+TEST(RoomEngine, BuildingOnATeamChangesNothing) {
+  // Teams of 2, 3 and 4 split the eight racks evenly and unevenly; 8 and
+  // 12 give one rack or none to a participant.  Telemetry is attached so
+  // the registry's name order is compared too.
+  obs::MetricsRegistry serial_metrics;
+  RoomParams p = eight_rack_room();
+  p.obs.metrics = &serial_metrics;
+  RoomEngine::Session serial(p);
+  const RoomResult reference = drive_serially(serial);
+#if FSC_OBS_ENABLED
+  EXPECT_GT(serial_metrics.snapshot().counter("fault.events_armed"), 0u);
+#endif
+  for (const std::size_t threads : {2u, 3u, 4u, 8u, 12u}) {
+    SCOPED_TRACE(threads);
+    obs::MetricsRegistry metrics;
+    p.obs.metrics = &metrics;
+    LockstepExecutor team(threads);
+    RoomEngine::Session built(p, team);
+    const RoomResult result = drive_serially(built);
+    ASSERT_EQ(result.size(), reference.size());
+    for (std::size_t i = 0; i < result.size(); ++i) {
+      expect_identical(reference.racks[i].result, result.racks[i].result);
+    }
+    EXPECT_EQ(reference.to_json(), result.to_json());
+    EXPECT_EQ(serial_metrics.snapshot().counters, metrics.snapshot().counters);
+  }
+}
+
+TEST(RoomEngine, TeamBuildThrowsTheLowestRacksError) {
+  // Rack 5 of 8 cannot be built (no servers) and rack 7 names an unknown
+  // policy: every build must report rack 5, the one a serial loop meets
+  // first, even when rack 7's participant fails too.
+  RoomParams p = eight_rack_room();
+  p.racks[5].rack.num_servers = 0;
+  p.racks[7].rack.policy = "no-such-policy";
+  std::string serial;
+  try {
+    RoomEngine::Session s(p);
+  } catch (const std::invalid_argument& e) {
+    serial = e.what();
+  }
+  ASSERT_NE(serial.find("at least one server"), std::string::npos) << serial;
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    LockstepExecutor team(threads);
+    std::string built;
+    try {
+      RoomEngine::Session s(p, team);
+    } catch (const std::invalid_argument& e) {
+      built = e.what();
+    }
+    EXPECT_EQ(built, serial);
+    // The team survives the failed wave and builds a valid room next.
+    const RoomEngine::Session ok(small_room(8, 3), team);
+    EXPECT_EQ(ok.num_slots(), 24u);
   }
 }
 

@@ -14,7 +14,10 @@
 //      followed by one fused LaneAccounting::account_range pass (energy,
 //      junction statistics, violation time, sensor phase; the sensor's
 //      cold sample path only at sample instants).  No per-server,
-//      per-substep virtual call, object write or require() is made;
+//      per-substep virtual call or object write is made, and the only
+//      per-substep require() calls are step_range's two per-chunk range
+//      checks — free on the passing branch, since require() builds its
+//      message only when it throws (util/units.hpp);
 //   3. every slot's accounting lanes are stored back — the Server adopts
 //      the batch's actuator and thermal state, and its meters get their
 //      integrals — and the session closes the period

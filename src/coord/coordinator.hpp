@@ -114,10 +114,13 @@ class RackCoordinator {
   /// Discard dynamic state.
   virtual void reset() = 0;
 
-  /// One directive per slot, in slot order.  `slots` is likewise in slot
-  /// order and covers the whole rack.
-  virtual std::vector<SlotDirective> coordinate(
-      double time_s, const std::vector<SlotObservation>& slots) = 0;
+  /// Fill `out` with one directive per slot, in slot order (resized to
+  /// the slot count; previous contents ignored).  `slots` is likewise in
+  /// slot order and covers the whole rack.  The engine passes the same
+  /// buffer every round, so a steady-state round allocates nothing.
+  virtual void coordinate(double time_s,
+                          const std::vector<SlotObservation>& slots,
+                          std::vector<SlotDirective>& out) = 0;
 };
 
 /// Registers the built-in coordinators ("independent", "shared-fan-zone",

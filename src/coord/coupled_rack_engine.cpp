@@ -97,6 +97,7 @@ struct CoupledRackEngine::Session::Impl {
   std::vector<SlotObservation> observations;
   // Reusable per-round scratch (hoisted so the steady-state round loop
   // allocates nothing).
+  std::vector<SlotDirective> directives;
   std::vector<PlenumSlotState> plenum_states;
   std::vector<double> plenum_inlets;
   std::size_t rounds = 0;
@@ -273,8 +274,8 @@ void CoupledRackEngine::Session::coordinate_round() {
   }
   if (im.injector) im.injector->stamp(im.observations, t);
 
-  const std::vector<SlotDirective> directives =
-      im.coordinator->coordinate(t, im.observations);
+  std::vector<SlotDirective>& directives = im.directives;
+  im.coordinator->coordinate(t, im.observations, directives);
   require(directives.size() == im.slots.size(),
           "CoupledRackEngine: coordinator must return one directive per slot");
   std::size_t overrides_this_round = 0;

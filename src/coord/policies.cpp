@@ -1,6 +1,8 @@
 #include "coord/policies.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include "core/policy_factory.hpp"
@@ -10,9 +12,10 @@ namespace fsc {
 
 IndependentCoordinator::IndependentCoordinator(const CoordinatorConfig&) {}
 
-std::vector<SlotDirective> IndependentCoordinator::coordinate(
-    double, const std::vector<SlotObservation>& slots) {
-  return std::vector<SlotDirective>(slots.size());
+void IndependentCoordinator::coordinate(
+    double, const std::vector<SlotObservation>& slots,
+    std::vector<SlotDirective>& out) {
+  out.assign(slots.size(), SlotDirective{});
 }
 
 FanZoneCoordinator::FanZoneCoordinator(const CoordinatorConfig& cfg)
@@ -24,9 +27,10 @@ FanZoneCoordinator::FanZoneCoordinator(const CoordinatorConfig& cfg)
           "FanZoneCoordinator: need 0 <= min rpm < max rpm");
 }
 
-std::vector<SlotDirective> FanZoneCoordinator::coordinate(
-    double, const std::vector<SlotObservation>& slots) {
-  std::vector<SlotDirective> directives(slots.size());
+void FanZoneCoordinator::coordinate(double,
+                                    const std::vector<SlotObservation>& slots,
+                                    std::vector<SlotDirective>& directives) {
+  directives.assign(slots.size(), SlotDirective{});
   for (std::size_t zone_start = 0; zone_start < slots.size();
        zone_start += zone_size_) {
     const std::size_t zone_end = std::min(zone_start + zone_size_, slots.size());
@@ -39,7 +43,6 @@ std::vector<SlotDirective> FanZoneCoordinator::coordinate(
       directives[i].fan_override_rpm = zone_rpm;
     }
   }
-  return directives;
 }
 
 PowerBudgetCoordinator::PowerBudgetCoordinator(const CoordinatorConfig& cfg)
@@ -61,10 +64,13 @@ PowerBudgetCoordinator::PowerBudgetCoordinator(const CoordinatorConfig& cfg)
           "power floor and can never be met");
 }
 
-std::vector<double> PowerBudgetCoordinator::water_fill(
-    const std::vector<double>& demands_watts, double budget) {
-  std::vector<double> alloc(demands_watts.size(), 0.0);
-  std::vector<bool> granted(demands_watts.size(), false);
+void PowerBudgetCoordinator::water_fill(const std::vector<double>& demands_watts,
+                                        double budget,
+                                        std::vector<double>& alloc) {
+  // An open (not yet granted) slot holds NaN, which no grant can be, so
+  // the allocation doubles as the granted mask and needs no second buffer.
+  alloc.assign(demands_watts.size(),
+               std::numeric_limits<double>::quiet_NaN());
   double remaining = budget;
   std::size_t open = demands_watts.size();
   // Each pass grants every slot whose demand fits under the current fair
@@ -74,45 +80,42 @@ std::vector<double> PowerBudgetCoordinator::water_fill(
     const double share = remaining / static_cast<double>(open);
     bool granted_any = false;
     for (std::size_t i = 0; i < demands_watts.size(); ++i) {
-      if (granted[i]) continue;
+      if (!std::isnan(alloc[i])) continue;
       if (demands_watts[i] <= share) {
         alloc[i] = demands_watts[i];
         remaining -= alloc[i];
-        granted[i] = true;
         --open;
         granted_any = true;
       }
     }
     if (!granted_any) {
       for (std::size_t i = 0; i < demands_watts.size(); ++i) {
-        if (!granted[i]) alloc[i] = share;
+        if (std::isnan(alloc[i])) alloc[i] = share;
       }
       break;
     }
   }
-  return alloc;
 }
 
-std::vector<SlotDirective> PowerBudgetCoordinator::coordinate(
-    double, const std::vector<SlotObservation>& slots) {
-  std::vector<SlotDirective> directives(slots.size());
-  std::vector<double> demand_watts;
-  demand_watts.reserve(slots.size());
+void PowerBudgetCoordinator::coordinate(
+    double, const std::vector<SlotObservation>& slots,
+    std::vector<SlotDirective>& directives) {
+  directives.assign(slots.size(), SlotDirective{});
+  demand_watts_.clear();
   double total = 0.0;
   for (const SlotObservation& slot : slots) {
     const double w = cpu_power_.power(slot.demand);
-    demand_watts.push_back(w);
+    demand_watts_.push_back(w);
     total += w;
   }
-  if (total <= budget_watts_) return directives;  // everyone unconstrained
+  if (total <= budget_watts_) return;  // everyone unconstrained
 
-  const std::vector<double> alloc = water_fill(demand_watts, budget_watts_);
+  water_fill(demand_watts_, budget_watts_, alloc_);
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (alloc[i] >= demand_watts[i] - 1e-12) continue;  // fully granted
-    const double cap = cpu_power_.utilization_for_power(alloc[i]);
+    if (alloc_[i] >= demand_watts_[i] - 1e-12) continue;  // fully granted
+    const double cap = cpu_power_.utilization_for_power(alloc_[i]);
     directives[i].cap_limit = std::max(min_cap_, cap);
   }
-  return directives;
 }
 
 FailsafeCoordinator::FailsafeCoordinator(const CoordinatorConfig& cfg)
@@ -131,9 +134,10 @@ FailsafeCoordinator::FailsafeCoordinator(const CoordinatorConfig& cfg)
           "FailsafeCoordinator: seized cap must be in (0, 1]");
 }
 
-std::vector<SlotDirective> FailsafeCoordinator::coordinate(
-    double, const std::vector<SlotObservation>& slots) {
-  std::vector<SlotDirective> directives(slots.size());
+void FailsafeCoordinator::coordinate(double,
+                                     const std::vector<SlotObservation>& slots,
+                                     std::vector<SlotDirective>& directives) {
+  directives.assign(slots.size(), SlotDirective{});
   for (std::size_t zone_start = 0; zone_start < slots.size();
        zone_start += zone_size_) {
     const std::size_t zone_end =
@@ -172,7 +176,6 @@ std::vector<SlotDirective> FailsafeCoordinator::coordinate(
       directives[i].fan_override_rpm = zone_rpm;
     }
   }
-  return directives;
 }
 
 void register_builtin_coordinators(PolicyFactory& factory) {

@@ -33,8 +33,8 @@ class IndependentCoordinator final : public RackCoordinator {
   explicit IndependentCoordinator(const CoordinatorConfig& cfg);
   std::string name() const override { return "independent"; }
   void reset() override {}
-  std::vector<SlotDirective> coordinate(
-      double time_s, const std::vector<SlotObservation>& slots) override;
+  void coordinate(double time_s, const std::vector<SlotObservation>& slots,
+                  std::vector<SlotDirective>& out) override;
 };
 
 /// One shared blower per zone of `fan_zone_size` contiguous slots: every
@@ -46,8 +46,8 @@ class FanZoneCoordinator final : public RackCoordinator {
   explicit FanZoneCoordinator(const CoordinatorConfig& cfg);
   std::string name() const override { return "shared-fan-zone"; }
   void reset() override {}
-  std::vector<SlotDirective> coordinate(
-      double time_s, const std::vector<SlotObservation>& slots) override;
+  void coordinate(double time_s, const std::vector<SlotObservation>& slots,
+                  std::vector<SlotDirective>& out) override;
 
   std::size_t zone_of(std::size_t slot) const noexcept {
     return slot / zone_size_;
@@ -72,21 +72,26 @@ class PowerBudgetCoordinator final : public RackCoordinator {
   explicit PowerBudgetCoordinator(const CoordinatorConfig& cfg);
   std::string name() const override { return "power-budget"; }
   void reset() override {}
-  std::vector<SlotDirective> coordinate(
-      double time_s, const std::vector<SlotObservation>& slots) override;
+  void coordinate(double time_s, const std::vector<SlotObservation>& slots,
+                  std::vector<SlotDirective>& out) override;
 
   double budget_watts() const noexcept { return budget_watts_; }
 
   /// The water-filling allocation itself (exposed for tests): divides
   /// `budget` across `demands_watts` max-min fairly — every slot gets
   /// min(demand, fair share), with unused share recursively redistributed.
-  static std::vector<double> water_fill(const std::vector<double>& demands_watts,
-                                        double budget);
+  /// `alloc` is resized to the demand count (previous contents ignored),
+  /// so a caller that keeps it across rounds allocates nothing.
+  static void water_fill(const std::vector<double>& demands_watts,
+                         double budget, std::vector<double>& alloc);
 
  private:
   double budget_watts_;
   double min_cap_;
   CpuPowerModel cpu_power_;
+  // Per-round scratch, reused across rounds.
+  std::vector<double> demand_watts_;
+  std::vector<double> alloc_;
 };
 
 /// Fault-aware zone arbitration.  Healthy zones behave exactly like
@@ -111,8 +116,8 @@ class FailsafeCoordinator final : public RackCoordinator {
   explicit FailsafeCoordinator(const CoordinatorConfig& cfg);
   std::string name() const override { return "failsafe"; }
   void reset() override {}
-  std::vector<SlotDirective> coordinate(
-      double time_s, const std::vector<SlotObservation>& slots) override;
+  void coordinate(double time_s, const std::vector<SlotObservation>& slots,
+                  std::vector<SlotDirective>& out) override;
 
   double floor_rpm() const noexcept { return floor_fraction_ * fan_max_rpm_; }
 

@@ -52,11 +52,11 @@ void CoolingPlant::allocate(double time_s,
     return;
   }
 
-  const std::vector<double> grants =
-      PowerBudgetCoordinator::water_fill(demands_watts, params_.capacity_watts);
+  PowerBudgetCoordinator::water_fill(demands_watts, params_.capacity_watts,
+                                     grants_);
   for (std::size_t i = 0; i < n; ++i) {
     const double demand = demands_watts[i];
-    const double grant = grants[i];
+    const double grant = grants_[i];
     out[i].granted_watts = grant;
     out[i].demand_scale =
         demand > 0.0 ? std::max(params_.min_demand_scale, grant / demand) : 1.0;

@@ -77,12 +77,16 @@ class CoolingPlant {
 
   /// Divide the plant across per-room heat demands (watts) for the
   /// facility period starting at `time_s`.  out is resized to
-  /// demands.size().  Deterministic pure function of its inputs.
+  /// demands.size().  Deterministic pure function of its inputs.  Reuses
+  /// a scratch buffer across calls (so a steady-state facility round
+  /// allocates nothing), which makes concurrent calls on one plant a race;
+  /// the facility calls it from its barrier thread only.
   void allocate(double time_s, const std::vector<double>& demands_watts,
                 std::vector<RoomCoolingAllocation>& out) const;
 
  private:
   CoolingPlantParams params_;
+  mutable std::vector<double> grants_;  ///< water-filling scratch
 };
 
 }  // namespace fsc

@@ -1,6 +1,7 @@
 #include "fault/fault_plan.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "util/json.hpp"
 #include "util/units.hpp"
@@ -32,23 +33,28 @@ FaultKind fault_kind_from_string(const std::string& name) {
 void FaultPlan::validate(std::size_t num_racks, std::size_t num_slots) const {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& e = events[i];
-    const std::string where =
-        "FaultPlan: event " + std::to_string(i) + " (" + to_string(e.kind) + ")";
-    require(e.rack < num_racks, where + ": rack index out of range");
-    require(e.slot < num_slots, where + ": slot index out of range");
-    require(e.start_s >= 0.0, where + ": start time must be >= 0");
+    // The message names the event, so it is composed — and only on the
+    // failure branch (require() takes literals only).
+    const auto check = [&](bool ok, const char* rule) {
+      if (ok) return;
+      throw std::invalid_argument("FaultPlan: event " + std::to_string(i) +
+                                  " (" + to_string(e.kind) + "): " + rule);
+    };
+    check(e.rack < num_racks, "rack index out of range");
+    check(e.slot < num_slots, "slot index out of range");
+    check(e.start_s >= 0.0, "start time must be >= 0");
     switch (e.kind) {
       case FaultKind::kSensorNoisy:
-        require(e.value > 0.0, where + ": noise stddev must be > 0");
+        check(e.value > 0.0, "noise stddev must be > 0");
         break;
       case FaultKind::kFanDegraded:
-        require(e.value > 0.0, where + ": degraded max rpm must be > 0");
+        check(e.value > 0.0, "degraded max rpm must be > 0");
         break;
       case FaultKind::kSensorStuck:
       case FaultKind::kSensorDropped:
       case FaultKind::kFanSeized:
       case FaultKind::kSlotBlackout:
-        require(e.value >= 0.0, where + ": value must be >= 0");
+        check(e.value >= 0.0, "value must be >= 0");
         break;
     }
   }

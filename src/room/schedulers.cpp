@@ -191,19 +191,19 @@ void PowerAwareScheduler::schedule(double,
   // Descale each rack's observed demand back to its native load, price it
   // with the nominal power model, and split the room into shedders (over
   // their per-rack budget) and absorbers (headroom under it).
-  std::vector<double> raw_u(racks.size(), 0.0);
-  std::vector<double> native_watts(racks.size(), 0.0);
-  std::vector<double> headroom(racks.size(), 0.0);
+  raw_u_.assign(racks.size(), 0.0);
+  native_watts_.assign(racks.size(), 0.0);
+  headroom_.assign(racks.size(), 0.0);
   double shed_pool = 0.0;
   for (std::size_t i = 0; i < racks.size(); ++i) {
     const RackObservation& r = racks[i];
-    raw_u[i] = r.demand_scale > 0.0 ? r.demand / r.demand_scale : r.demand;
-    native_watts[i] =
-        static_cast<double>(r.slots) * cfg_.cpu_power.power(raw_u[i]);
-    if (native_watts[i] > rack_budget) {
-      shed_pool += native_watts[i] - rack_budget;
+    raw_u_[i] = r.demand_scale > 0.0 ? r.demand / r.demand_scale : r.demand;
+    native_watts_[i] =
+        static_cast<double>(r.slots) * cfg_.cpu_power.power(raw_u_[i]);
+    if (native_watts_[i] > rack_budget) {
+      shed_pool += native_watts_[i] - rack_budget;
     } else {
-      headroom[i] = rack_budget - native_watts[i];
+      headroom_[i] = rack_budget - native_watts_[i];
     }
   }
 
@@ -212,8 +212,7 @@ void PowerAwareScheduler::schedule(double,
   // every absorber takes min(headroom, fair share), leftovers recursively
   // redistributed, and anything that fits nowhere stays shed (the room is
   // genuinely over budget and that slice of load is simply not run).
-  const std::vector<double> received =
-      PowerBudgetCoordinator::water_fill(headroom, shed_pool);
+  PowerBudgetCoordinator::water_fill(headroom_, shed_pool, received_);
 
 #if FSC_OBS_ENABLED
   // Budget rejection: shed watts that fit in NO absorber's headroom — the
@@ -221,7 +220,7 @@ void PowerAwareScheduler::schedule(double,
   // Observational only; the directives below are identical either way.
   if (obs_.trace != nullptr || obs_.metrics != nullptr) {
     double absorbed = 0.0;
-    for (const double r : received) absorbed += r;
+    for (const double r : received_) absorbed += r;
     if (shed_pool > absorbed + 1e-9) {
       if (obs_.trace != nullptr) {
         obs_.trace->instant("room.budget_reject", "sched");
@@ -235,17 +234,17 @@ void PowerAwareScheduler::schedule(double,
 
   for (std::size_t i = 0; i < racks.size(); ++i) {
     const RackObservation& r = racks[i];
-    const bool sheds = native_watts[i] > rack_budget;
-    const bool absorbs = received[i] > 0.0;
-    if ((!sheds && !absorbs) || raw_u[i] <= kMinScalableDemand ||
+    const bool sheds = native_watts_[i] > rack_budget;
+    const bool absorbs = received_[i] > 0.0;
+    if ((!sheds && !absorbs) || raw_u_[i] <= kMinScalableDemand ||
         r.slots == 0) {
       continue;  // untouched racks run their native load, scale exactly 1
     }
     const double target_watts =
-        (sheds ? rack_budget : native_watts[i] + received[i]) /
+        (sheds ? rack_budget : native_watts_[i] + received_[i]) /
         static_cast<double>(r.slots);
     const double target_u = cfg_.cpu_power.utilization_for_power(target_watts);
-    out[i].demand_scale = clamp(target_u / raw_u[i], cfg_.min_demand_scale,
+    out[i].demand_scale = clamp(target_u / raw_u_[i], cfg_.min_demand_scale,
                                 cfg_.max_demand_scale);
   }
 }

@@ -87,6 +87,11 @@ class PowerAwareScheduler final : public RoomScheduler {
  private:
   RoomSchedulerConfig cfg_;
   double budget_watts_;
+  // Per-round scratch, reused across rounds.
+  std::vector<double> raw_u_;
+  std::vector<double> native_watts_;
+  std::vector<double> headroom_;
+  std::vector<double> received_;
 };
 
 /// Fault-aware migration.  Behaves like ThermalHeadroomScheduler while the

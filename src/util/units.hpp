@@ -53,9 +53,18 @@ inline bool approx_equal(double a, double b, double tol = 1e-9) {
 }
 
 /// Throw std::invalid_argument with `what` when `ok` is false.  Used to
-/// validate constructor parameters of model classes.
-inline void require(bool ok, const std::string& what) {
-  if (!ok) throw std::invalid_argument(what);
+/// validate constructor parameters of model classes, and on the hot path
+/// (every physics substep checks its inputs).
+///
+/// Hot-path rule: the message is a string literal, and it becomes a
+/// std::string only inside the throw.  A `const std::string&` parameter
+/// would build the message before `ok` is tested — a heap allocation on
+/// every passing check, since any useful message outgrows the small-string
+/// buffer — so there is deliberately no such overload: a composed message
+/// does not compile here, and its caller builds it on the failure branch
+/// itself.  test_alloc pins the steady state at zero allocations.
+inline void require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(std::string(what));
 }
 
 }  // namespace fsc

@@ -33,28 +33,33 @@ std::unique_ptr<SampledWorkload> make_spiky_workload(const SpikyParams& params,
                                      "synthetic workload");
   std::vector<double> samples;
   samples.reserve(n);
-  // Draw Poisson spike arrival times over the whole duration first so the
-  // base trace and spike train use disjoint, reproducible randomness.
-  std::vector<double> spike_starts;
-  double t = 0.0;
-  if (params.spike_rate_per_s > 0.0) {
-    for (;;) {
-      t += rng.exponential(params.spike_rate_per_s);
-      if (t >= params.base.duration_s) break;
-      spike_starts.push_back(t);
-    }
+  // Poisson spike arrivals come from the Rng after the whole base trace,
+  // so the base trace and spike train use disjoint, reproducible
+  // randomness.  Each arrival is drawn once the previous one has started,
+  // and the tail past the last sample is drained below: exactly the draws
+  // (and the Rng state) of drawing them all up front, without storing a
+  // list whose length grows with the horizon.
+  const double duration = params.base.duration_s;
+  const bool spiky = params.spike_rate_per_s > 0.0;
+  double next_spike = duration;  // >= duration: no further spike
+  const auto draw_next = [&] {
+    next_spike += rng.exponential(params.spike_rate_per_s);
+  };
+  if (spiky) {
+    next_spike = 0.0;
+    draw_next();
   }
-  std::size_t next_spike = 0;
   double spike_until = -1.0;
   for (std::size_t i = 0; i < n; ++i) {
     const double now = static_cast<double>(i) * params.base.sample_period_s;
-    while (next_spike < spike_starts.size() && spike_starts[next_spike] <= now) {
-      spike_until = spike_starts[next_spike] + params.spike_duration_s;
-      ++next_spike;
+    while (next_spike < duration && next_spike <= now) {
+      spike_until = next_spike + params.spike_duration_s;
+      draw_next();
     }
     const double u = now < spike_until ? params.spike_level : base->demand(now);
     samples.push_back(clamp_utilization(u));
   }
+  while (spiky && next_spike < duration) draw_next();
   return std::make_unique<SampledWorkload>(std::move(samples),
                                            params.base.sample_period_s);
 }

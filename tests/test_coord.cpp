@@ -165,7 +165,8 @@ TEST(SharedPlenum, RejectsMismatchedSlotCount) {
 // ----------------------------------------------------------- water-fill
 
 TEST(PowerBudget, WaterFillGrantsEveryoneUnderBudget) {
-  const auto alloc = PowerBudgetCoordinator::water_fill({100.0, 50.0, 30.0}, 200.0);
+  std::vector<double> alloc;
+  PowerBudgetCoordinator::water_fill({100.0, 50.0, 30.0}, 200.0, alloc);
   EXPECT_DOUBLE_EQ(alloc[0], 100.0);
   EXPECT_DOUBLE_EQ(alloc[1], 50.0);
   EXPECT_DOUBLE_EQ(alloc[2], 30.0);
@@ -174,14 +175,16 @@ TEST(PowerBudget, WaterFillGrantsEveryoneUnderBudget) {
 TEST(PowerBudget, WaterFillRedistributesUnusedHeadroom) {
   // Budget 240 across demands {200, 60, 40}: the two light slots keep
   // their full demand, the heavy one gets everything left over.
-  const auto alloc = PowerBudgetCoordinator::water_fill({200.0, 60.0, 40.0}, 240.0);
+  std::vector<double> alloc;
+  PowerBudgetCoordinator::water_fill({200.0, 60.0, 40.0}, 240.0, alloc);
   EXPECT_DOUBLE_EQ(alloc[1], 60.0);
   EXPECT_DOUBLE_EQ(alloc[2], 40.0);
   EXPECT_DOUBLE_EQ(alloc[0], 140.0);
 }
 
 TEST(PowerBudget, WaterFillSplitsEquallyWhenAllSaturate) {
-  const auto alloc = PowerBudgetCoordinator::water_fill({200.0, 300.0}, 100.0);
+  std::vector<double> alloc;
+  PowerBudgetCoordinator::water_fill({200.0, 300.0}, 100.0, alloc);
   EXPECT_DOUBLE_EQ(alloc[0], 50.0);
   EXPECT_DOUBLE_EQ(alloc[1], 50.0);
 }
@@ -203,7 +206,8 @@ TEST(PowerBudget, CoordinateCapsOnlyOversubscribedSlots) {
   std::vector<SlotObservation> obs(2);
   obs[0].demand = 1.0;   // 160 W wanted
   obs[1].demand = 0.1;   // 102.4 W wanted
-  const auto directives = coord.coordinate(0.0, obs);
+  std::vector<SlotDirective> directives;
+  coord.coordinate(0.0, obs, directives);
   ASSERT_EQ(directives.size(), 2u);
   EXPECT_LT(directives[0].cap_limit, 1.0);   // heavy slot capped
   EXPECT_DOUBLE_EQ(directives[1].cap_limit, 1.0);  // light slot untouched
@@ -223,7 +227,8 @@ TEST(FanZone, ZoneSpeedIsMaxMemberRequest) {
   obs[1].fan_requested_rpm = 5000.0;
   obs[2].fan_requested_rpm = 2000.0;
   obs[3].fan_requested_rpm = 1000.0;  // below the floor
-  const auto directives = coord.coordinate(0.0, obs);
+  std::vector<SlotDirective> directives;
+  coord.coordinate(0.0, obs, directives);
   ASSERT_EQ(directives.size(), 4u);
   EXPECT_DOUBLE_EQ(directives[0].fan_override_rpm, 5000.0);
   EXPECT_DOUBLE_EQ(directives[1].fan_override_rpm, 5000.0);

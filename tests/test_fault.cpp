@@ -91,6 +91,32 @@ TEST(FaultPlan, ValidateRejectsOutOfRangeVictims) {
   EXPECT_NO_THROW(plan.validate(2, 8));
 }
 
+/// validate() must throw std::invalid_argument whose what() is exactly
+/// `expected`.
+void expect_validate_message(const FaultPlan& plan, const std::string& expected) {
+  try {
+    plan.validate(2, 8);
+    ADD_FAILURE() << "accepted, expected: " << expected;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
+}
+
+TEST(FaultPlan, ValidateMessagesNameTheEventAndTheRule) {
+  FaultPlan plan;
+  plan.events.push_back({FaultKind::kSensorStuck, 0, 0, 0.0, -1.0, 45.0});
+  plan.events.push_back({FaultKind::kSensorNoisy, 5, 0, 0.0, -1.0, 1.0});
+  expect_validate_message(
+      plan, "FaultPlan: event 1 (sensor-noisy): rack index out of range");
+  plan.events[1].rack = 1;
+  plan.events[1].value = 0.0;
+  expect_validate_message(
+      plan, "FaultPlan: event 1 (sensor-noisy): noise stddev must be > 0");
+  plan.events[1] = {FaultKind::kFanDegraded, 1, 3, 0.0, -1.0, -100.0};
+  expect_validate_message(
+      plan, "FaultPlan: event 1 (fan-degraded): degraded max rpm must be > 0");
+}
+
 TEST(FaultPlan, JsonRoundTrip) {
   const FaultPlan plan = mixed_plan();
   const FaultPlan back = FaultPlan::from_json_text(plan.to_json(2));
@@ -454,7 +480,8 @@ TEST(FailsafeCoordinator, DarkSlotRampsTheWholeZone) {
     o.fan_actual_rpm = 2000.0;
   }
   obs[1].telemetry_ok = false;  // zone {0, 1} has a dark member
-  const auto directives = coord.coordinate(0.0, obs);
+  std::vector<SlotDirective> directives;
+  coord.coordinate(0.0, obs, directives);
   ASSERT_EQ(directives.size(), 4u);
   EXPECT_DOUBLE_EQ(directives[0].fan_override_rpm, coord.floor_rpm());
   EXPECT_DOUBLE_EQ(directives[1].fan_override_rpm, coord.floor_rpm());
@@ -475,7 +502,8 @@ TEST(FailsafeCoordinator, SeizedBlowerCapsTheSlotAndMaxesTheZone) {
   }
   obs[0].fan_actual_rpm = 400.0;  // impossible for a healthy actuator
   obs[0].measured_temp = cfg.thermal_limit_celsius + 5.0;  // past the limit
-  const auto directives = coord.coordinate(0.0, obs);
+  std::vector<SlotDirective> directives;
+  coord.coordinate(0.0, obs, directives);
   EXPECT_DOUBLE_EQ(directives[0].cap_limit, cfg.failsafe_seized_cap);
   EXPECT_DOUBLE_EQ(directives[1].cap_limit, 1.0);
   EXPECT_DOUBLE_EQ(directives[0].fan_override_rpm, cfg.fan_max_rpm);
@@ -497,15 +525,17 @@ TEST(FailsafeCoordinator, SeizedThrottleReleasesOnceTheVictimCools) {
   obs[0].fan_actual_rpm = 400.0;
 
   obs[0].measured_temp = 40.0;  // well below the ramp band
-  auto cool = coord.coordinate(0.0, obs);
-  EXPECT_DOUBLE_EQ(cool[0].cap_limit, 1.0);
+  std::vector<SlotDirective> directives;
+  coord.coordinate(0.0, obs, directives);
+  EXPECT_DOUBLE_EQ(directives[0].cap_limit, 1.0);
   // The zone still goes to max while the blower is seized.
-  EXPECT_DOUBLE_EQ(cool[0].fan_override_rpm, cfg.fan_max_rpm);
+  EXPECT_DOUBLE_EQ(directives[0].fan_override_rpm, cfg.fan_max_rpm);
 
+  // The same buffer again: the previous round's contents are overwritten.
   obs[0].measured_temp = cfg.thermal_limit_celsius - 5.0;  // inside the band
-  auto warm = coord.coordinate(30.0, obs);
-  EXPECT_LT(warm[0].cap_limit, 1.0);
-  EXPECT_GT(warm[0].cap_limit, cfg.failsafe_seized_cap);
+  coord.coordinate(30.0, obs, directives);
+  EXPECT_LT(directives[0].cap_limit, 1.0);
+  EXPECT_GT(directives[0].cap_limit, cfg.failsafe_seized_cap);
 }
 
 // ------------------------------------------------ failsafe room scheduler

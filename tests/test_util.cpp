@@ -49,6 +49,15 @@ TEST(Units, ApproxEqual) {
 TEST(Units, RequireThrows) {
   EXPECT_NO_THROW(require(true, "ok"));
   EXPECT_THROW(require(false, "bad"), std::invalid_argument);
+  // Longer than the small-string buffer: the message must survive intact
+  // into what(), built only on the failure branch.
+  const char* long_message = "ServerThermalModel: capacitance must be > 0";
+  try {
+    require(false, long_message);
+    ADD_FAILURE() << "require(false, ...) did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), long_message);
+  }
 }
 
 TEST(Units, Literals) {

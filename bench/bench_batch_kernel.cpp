@@ -6,9 +6,10 @@
 //
 //   * BM_ScalarServerStep: one Server::step per call, the per-object
 //     baseline from bench_micro_perf;
-//   * BM_BatchedServerStep*/N: ServerBatch::step_all plus the
-//     LaneAccounting pass and its per-period write-back — what the
-//     batched engines do per substep.
+//   * BM_BatchedServerStep*/N: one control period of the period kernel
+//     (LaneAccounting::advance_period: plant and accounting for all 20
+//     substeps) with its per-period load and write-back — what the
+//     batched engines do per period.  Items are server-substeps.
 //
 // The timed fleet is COEFFICIENT-heterogeneous (per-lane Rhs power-law
 // spread, like a rack mixing SKU steppings): this defeats the kernel's
@@ -19,7 +20,8 @@
 //
 // After the timing loops, main() enforces the batch claim through
 // bench/verdict.hpp on a plain-chrono measurement: batched (settled, incl.
-// accounting) beats the scalar baseline by >= 4x at N = 64.  Exit is
+// accounting) beats the scalar baseline by >= 4x per server-substep at
+// N = 64.  Exit is
 // non-zero when the gate regresses.
 //
 // Writes BENCH_batch.json (override via FSC_BENCH_JSON) with the same
@@ -58,7 +60,6 @@ struct Fleet {
   std::vector<std::unique_ptr<Server>> servers;
   ServerBatch batch;
   LaneAccounting accounts;
-  long substeps = 0;
 
   /// `uniform` = identical Table-1 SKUs on every lane (the rolling share's
   /// best case) instead of the default heterogeneous spread.
@@ -81,6 +82,7 @@ struct Fleet {
       batch.add_server(*servers.back());
       accounts.add_lane(*servers.back());
     }
+    batch.prepare_dt(kDt);
     set_inputs(3000.0);
   }
 
@@ -93,25 +95,19 @@ struct Fleet {
     }
   }
 
-  /// One batched physics substep including the lane accounting — what
-  /// RackBatchStepper does per substep — with the accounting's per-period
-  /// load and write-back at every control-period boundary.
-  void substep() {
-    if (substeps % kSubstepsPerPeriod == 0) {
-      for (std::size_t i = 0; i < servers.size(); ++i) accounts.load(i);
-    }
-    batch.step_all(kDt);
-    accounts.account_range(batch, 0, servers.size(), kDt);
-    if (++substeps % kSubstepsPerPeriod == 0) {
-      for (std::size_t i = 0; i < servers.size(); ++i) accounts.store(i, batch);
-    }
+  /// One control period as RackBatchStepper runs it: lane load, the
+  /// period kernel over the whole fleet, write-back.
+  void period() {
+    for (std::size_t i = 0; i < servers.size(); ++i) accounts.load(i);
+    accounts.advance_period(batch, 0, servers.size(), kDt, kSubstepsPerPeriod);
+    for (std::size_t i = 0; i < servers.size(); ++i) accounts.store(i, batch);
   }
 };
 
 /// Flip the fan command every control period so the fans slew (almost)
 /// continuously — the memo-refresh worst case.
-double slew_command(long substep) {
-  return (substep / 20) % 2 == 0 ? 2500.0 : 7000.0;
+double slew_command(long period) {
+  return period % 2 == 0 ? 2500.0 : 7000.0;
 }
 
 /// The scalar baseline: equivalent to bench_micro_perf's
@@ -133,7 +129,9 @@ void BM_ScalarServerStepSlewing(benchmark::State& state) {
   Server server = Server::table1_defaults(rng);
   long substep = 0;
   for (auto _ : state) {
-    if (substep % 20 == 0) server.command_fan(slew_command(substep));
+    if (substep % kSubstepsPerPeriod == 0) {
+      server.command_fan(slew_command(substep / kSubstepsPerPeriod));
+    }
     server.step(kUtilization, kDt);
     benchmark::DoNotOptimize(server.true_junction());
     ++substep;
@@ -144,15 +142,15 @@ BENCHMARK(BM_ScalarServerStepSlewing);
 
 void run_batched_series(benchmark::State& state, bool slewing) {
   Fleet fleet(static_cast<std::size_t>(state.range(0)));
-  long substep = 0;
+  long period = 0;
   for (auto _ : state) {
-    if (slewing && substep % 20 == 0) fleet.set_inputs(slew_command(substep));
-    fleet.substep();
+    if (slewing) fleet.set_inputs(slew_command(period));
+    fleet.period();
     benchmark::DoNotOptimize(fleet.batch.junction_celsius(0));
-    ++substep;
+    ++period;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
+                          state.range(0) * kSubstepsPerPeriod);
 }
 
 void BM_BatchedServerStep(benchmark::State& state) {
@@ -184,14 +182,15 @@ double measure_scalar_ns_per_step() {
 
 double measure_batched_ns_per_server_step(std::size_t n) {
   Fleet fleet(n);
-  for (int i = 0; i < 2000; ++i) fleet.substep();  // warmup (fans settle)
-  constexpr long kSubsteps = 20000;
+  for (int i = 0; i < 100; ++i) fleet.period();  // warmup (fans settle)
+  constexpr long kPeriods = 1000;
   const auto start = std::chrono::steady_clock::now();
-  for (long i = 0; i < kSubsteps; ++i) fleet.substep();
+  for (long i = 0; i < kPeriods; ++i) fleet.period();
   const auto stop = std::chrono::steady_clock::now();
   benchmark::DoNotOptimize(fleet.batch.junction_celsius(0));
   return std::chrono::duration<double, std::nano>(stop - start).count() /
-         static_cast<double>(kSubsteps * static_cast<long>(n));
+         static_cast<double>(kPeriods * kSubstepsPerPeriod *
+                             static_cast<long>(n));
 }
 
 /// Memo telemetry per regime (hit/shared/miss; the share is lane by
@@ -219,20 +218,18 @@ void print_memo_hit_rates() {
   {
     fsc::obs::MetricsRegistry registry;
     Fleet fleet(64);
-    for (int i = 0; i < 2000; ++i) fleet.substep();  // settle
+    for (int i = 0; i < 100; ++i) fleet.period();  // settle
     fleet.batch.attach_memo_counters(registry);
-    for (int i = 0; i < 20000; ++i) fleet.substep();
+    for (int i = 0; i < 1000; ++i) fleet.period();
     report("settled", registry);
   }
   {
     fsc::obs::MetricsRegistry registry;
     Fleet fleet(64);
     fleet.batch.attach_memo_counters(registry);
-    long substep = 0;
-    for (int i = 0; i < 20000; ++i) {
-      if (substep % 20 == 0) fleet.set_inputs(slew_command(substep));
-      fleet.substep();
-      ++substep;
+    for (long period = 0; period < 1000; ++period) {
+      fleet.set_inputs(slew_command(period));
+      fleet.period();
     }
     report("slewing", registry);
   }
@@ -240,11 +237,9 @@ void print_memo_hit_rates() {
     fsc::obs::MetricsRegistry registry;
     Fleet fleet(64, /*uniform=*/true);
     fleet.batch.attach_memo_counters(registry);
-    long substep = 0;
-    for (int i = 0; i < 20000; ++i) {
-      if (substep % 20 == 0) fleet.set_inputs(slew_command(substep));
-      fleet.substep();
-      ++substep;
+    for (long period = 0; period < 1000; ++period) {
+      fleet.set_inputs(slew_command(period));
+      fleet.period();
     }
     report("slewing-uniform", registry);
   }
@@ -261,7 +256,7 @@ bool print_throughput_verdict() {
   }
   std::printf("\n--- batched kernel throughput (n=64, settled fans) ---\n");
   std::printf("scalar  Server::step      : %8.2f ns/server-step\n", scalar_ns);
-  std::printf("batched step_all + lanes  : %8.2f ns/server-step (%.1fx)\n",
+  std::printf("batched period kernel     : %8.2f ns/server-step (%.1fx)\n",
               batched_ns, scalar_ns / batched_ns);
   print_memo_hit_rates();
   bool ok = true;

@@ -10,20 +10,38 @@
 //
 // Life cycle per control period, per lane:
 //
-//   load(i)                 Server -> lanes, at the period start;
-//   account_range(lo, hi)   after each ServerBatch::step_range: one fused,
-//                           branch-light pass over the range; a lane whose
-//                           phase crosses a sample instant calls the
-//                           sensor's cold SensorChain::take_sample, in
-//                           lane order, with the same RNG draws as the
-//                           scalar SensorChain::observe;
-//   store(i)                lanes -> Server at the period end: its meters,
-//                           sensor phase, and actuator and thermal state.
+//   load(i)                  Server -> lanes, at the period start;
+//   advance_period(batch, lo, hi, dt, substeps)
+//                            the period kernel: every substep of the period
+//                            over the range [lo, hi), plant and accounting
+//                            together (below); a lane whose phase crosses a
+//                            sample instant calls the sensor's cold
+//                            SensorChain::take_sample, in (substep, lane)
+//                            order, with the same RNG draws as the scalar
+//                            SensorChain::observe;
+//   store(i)                 lanes -> Server at the period end: its meters,
+//                            sensor phase, and actuator and thermal state.
+//
+// The period kernel.  Each substep is the batch's slew pass (which also
+// reports whether any lane left its transcendental memo), the memo
+// refresh only when one did, then ONE vector loop that runs the plant
+// lane body (fan power, plant::step_nodes) and every accounting statement,
+// and the cold sample pass only when some lane reached a sample instant.
+// Every plant input is constant within a period and the slew lands
+// exactly on its command, so once every lane of the range holds its
+// command's bits with a valid memo, slew, memo and fan power are fixed
+// points: the remaining substeps run the settled tail — the same vector
+// loop without fan power — and count their memo hits in bulk.  Nothing is
+// approximated; the tail is the per-substep path with its no-op passes
+// removed.
 //
 // Every lane update is the same expression, in the same per-lane order, as
 // the scalar Server::step, so the Server and its meters are bit-identical
 // to a scalar run at every period boundary — which is all any observer
-// (policy, sink, trace record, coordinator, report) ever reads.
+// (policy, sink, trace record, coordinator, report) ever reads.  The
+// violation time adds `tj > limit ? dt : 0.0` instead of selecting
+// between two sums (a select GCC will not if-convert): the same value,
+// because the time is never -0.0.
 //
 // Threading: lanes are independent.  Disjoint ranges may be accounted and
 // loaded/stored concurrently; every lane array is a LaneVector, so chunks
@@ -47,7 +65,7 @@ class LaneAccounting {
   /// Register the next lane (its index is the previous size()): the
   /// server whose sensor, energy and junction meters it accounts.
   /// Borrowed; must outlive the accounting.  Lane i must be lane i of the
-  /// ServerBatch passed to account_range() and store().
+  /// ServerBatch passed to advance_period() and store().
   std::size_t add_lane(Server& server);
 
   std::size_t size() const noexcept { return servers_.size(); }
@@ -57,18 +75,29 @@ class LaneAccounting {
   void load(std::size_t i);
   bool loaded(std::size_t i) const noexcept { return loaded_[i] != 0; }
 
-  /// Account one physics substep of `dt` seconds over lanes [lo, hi),
-  /// reading the plant outputs `batch` just produced for them.  Unloaded
-  /// lanes in the range accumulate into dead values that the next load()
-  /// overwrites, and never take a sensor sample.
-  void account_range(const ServerBatch& batch, std::size_t lo, std::size_t hi,
-                     double dt);
+  /// The period kernel: advance lanes [lo, hi) of `batch` by `substeps`
+  /// physics substeps of `dt` seconds and account every one of them.
+  /// Unloaded lanes in the range step and accumulate into dead values that
+  /// the next load() overwrites, and never take a sensor sample.  Disjoint
+  /// ranges may run concurrently.  Requires lo <= hi <= size() ==
+  /// batch.size() (std::invalid_argument) and batch.prepare_dt(dt) to have
+  /// run (std::logic_error).
+  void advance_period(ServerBatch& batch, std::size_t lo, std::size_t hi,
+                      double dt, long substeps);
 
   /// Period end: write lane i back into its Server's meters, mirror
   /// `batch`'s actuator and thermal state into it, and unload the lane.
   void store(std::size_t i, const ServerBatch& batch);
 
  private:
+  /// Up to `steps` substeps of the period kernel's lane loop over
+  /// [lo, hi), through the first one that reaches a sample instant, whose
+  /// samples it then takes; returns the substeps advanced.  The settled
+  /// tail (kSettled) skips the fan-power statement.
+  template <bool kSettled>
+  long advance_substeps(ServerBatch& batch, std::size_t lo, std::size_t hi,
+                        double dt, long steps);
+
   std::vector<Server*> servers_;
 
   LaneVector<std::uint64_t> loaded_;  ///< 8-byte flags: one lane, one slot

@@ -42,6 +42,18 @@ inline double rc_relax(double temperature, double steady_state,
   return steady_state + (temperature - steady_state) * decay;
 }
 
+/// One substep of the batch's two-node thermal update (paper Eqns. 2-3),
+/// in Server::step's order: the heat-sink node relaxes toward
+/// ambient + Rhs * P, then the die node toward the new heat-sink
+/// temperature + R_die * P.  The one lane body that ServerBatch::step_range
+/// and the period kernel (LaneAccounting::advance_period) both run.
+inline void step_nodes(double& heat_sink, double& junction, double ambient,
+                       double r_hs, double cpu_watts, double hs_decay,
+                       double r_die, double die_decay) noexcept {
+  heat_sink = rc_relax(heat_sink, ambient + r_hs * cpu_watts, hs_decay);
+  junction = rc_relax(junction, heat_sink + r_die * cpu_watts, die_decay);
+}
+
 /// Cubic fan power P(s) = P_max * (s / s_max)^3 with the [0, s_max] clamp.
 inline double fan_power(double power_at_max_watts, double max_speed_rpm,
                         double rpm) noexcept {

@@ -73,11 +73,8 @@ void RackBatchStepper::advance_range_periods(std::size_t lo, std::size_t hi,
     for (std::size_t i = lo; i < hi; ++i) any_active |= open_period(i, gather);
     if (!any_active) return;  // all sessions in this range are done
 
-    // Phase 2 — batched physics and accounting over the range.
-    for (long s = 0; s < substeps; ++s) {
-      batch_.step_range(lo, hi, dt);
-      accounts_.account_range(batch_, lo, hi, dt);
-    }
+    // Phase 2 — the period kernel: physics and accounting over the range.
+    accounts_.advance_period(batch_, lo, hi, dt, substeps);
 
     // Phase 3 — write back and close the period on every opened slot.
     for (std::size_t i = lo; i < hi; ++i) {

@@ -10,14 +10,15 @@
 //      the period's executed utilization, the fan's drive target and slew,
 //      the current inlet temperature) and the slot's accounting lanes are
 //      loaded from its Server's meters;
-//   2. each physics substep is one ServerBatch::step_range over the slots
-//      followed by one fused LaneAccounting::account_range pass (energy,
-//      junction statistics, violation time, sensor phase; the sensor's
-//      cold sample path only at sample instants).  No per-server,
-//      per-substep virtual call or object write is made, and the only
-//      per-substep require() calls are step_range's two per-chunk range
-//      checks — free on the passing branch, since require() builds its
-//      message only when it throws (util/units.hpp);
+//   2. one period-kernel call over the range
+//      (LaneAccounting::advance_period): every substep of the period,
+//      plant and accounting (energy, junction statistics, violation time,
+//      sensor phase) in one vector loop per substep, the sensor's cold
+//      sample path only at sample instants, and once every lane of the
+//      range has settled on its fan command, a tail that skips the slew,
+//      the memo check and fan power.  No per-server, per-substep virtual
+//      call, object write or require() is made — the kernel validates its
+//      range once per period;
 //   3. every slot's accounting lanes are stored back — the Server adopts
 //      the batch's actuator and thermal state, and its meters get their
 //      integrals — and the session closes the period
@@ -48,8 +49,8 @@
 // slots [lo, hi) and touches no shared mutable state (call prepare() once,
 // single-threaded, first).  This is what lets the lockstep engines shard a
 // rack across a LockstepExecutor: they cut it into kAutoChunkLanes-wide
-// chunks, which parallelise across threads while lanes vectorize within a
-// chunk.  Every per-lane array a range writes is cache-line aligned, so
+// chunks, which parallelise across threads while the kernel's lane loop
+// vectorizes within a chunk.  Every per-lane array a range writes is cache-line aligned, so
 // ranges whose bounds are multiples of 8 lanes share no cache line.
 #pragma once
 

@@ -1,5 +1,6 @@
 #include "batch/server_batch.hpp"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -84,6 +85,41 @@ void ServerBatch::step_all(double dt) {
   step_range(0, size(), dt);
 }
 
+namespace {
+
+/// Pass 3 of step_range: fan power at the new speed, then the shared lane
+/// body (heat-sink node, then die node).  The lanes arrive as __restrict
+/// parameters so GCC vectorizes the loop without alias versioning.
+void plant_lanes(std::size_t lo, std::size_t hi,
+                 const double* __restrict act, double* __restrict fan_w,
+                 double* __restrict t_hs, double* __restrict t_j,
+                 const double* __restrict p_cpu,
+                 const double* __restrict ambient,
+                 const double* __restrict r_hs,
+                 const double* __restrict hs_decay,
+                 const double* __restrict r_die,
+                 const double* __restrict die_decay,
+                 const double* __restrict pmax,
+                 const double* __restrict smax) noexcept {
+  for (std::size_t i = lo; i < hi; ++i) {  // vector loop: plant lanes
+    fan_w[i] = plant::fan_power(pmax[i], smax[i], act[i]);
+    plant::step_nodes(t_hs[i], t_j[i], ambient[i], r_hs[i], p_cpu[i],
+                      hs_decay[i], r_die[i], die_decay[i]);
+  }
+}
+
+}  // namespace
+
+void ServerBatch::require_prepared(double dt) const {
+  if (dt != last_dt_) {
+    // Refreshing here would race with a concurrently stepping sibling
+    // range, so a missing prepare_dt is a driver bug, not a recoverable
+    // input error.
+    throw std::logic_error(
+        "ServerBatch: prepare_dt(dt) must run before ranged stepping");
+  }
+}
+
 void ServerBatch::step_range(std::size_t lo, std::size_t hi, double dt) {
   // Validate dt before the sentinel comparison: dt = -1.0 would otherwise
   // collide with the "never prepared" last_dt_ marker and sail past the
@@ -91,94 +127,96 @@ void ServerBatch::step_range(std::size_t lo, std::size_t hi, double dt) {
   require(dt >= 0.0, "ServerBatch::step_range: dt must be >= 0");
   require(lo <= hi && hi <= size(),
           "ServerBatch::step_range: lane range out of bounds");
-  if (dt != last_dt_) {
-    // Refreshing here would race with a concurrently stepping sibling
-    // chunk, so a missing prepare_dt is a driver bug, not a recoverable
-    // input error.
-    throw std::logic_error(
-        "ServerBatch::step_range: prepare_dt(dt) must run before ranged "
-        "stepping");
-  }
+  require_prepared(dt);
   if (lo == hi) return;
 
-  double* __restrict act = fan_actual_.data();
-  const double* __restrict cmd = fan_cmd_.data();
-  const double* __restrict slew = fan_slew_.data();
+  MemoTally tally;
+  if (slew_range(lo, hi, dt).missed) {
+    refresh_memos(lo, hi, dt, tally);
+  } else {
+    tally.hits = hi - lo;
+  }
+  plant_lanes(lo, hi, fan_actual_.data(), fan_watts_.data(), heat_sink_.data(),
+              junction_.data(), cpu_watts_.data(), ambient_.data(),
+              r_hs_.data(), hs_decay_.data(), r_die_.data(),
+              die_decay_.data(), fan_pmax_.data(), fan_smax_.data());
+  add_memo_tally(tally, lo);
+}
 
-  // Pass 1 — actuator slew: one select per lane, no control flow.
+ServerBatch::SlewScan ServerBatch::slew_range(std::size_t lo, std::size_t hi,
+                                              double dt) noexcept {
+  double* act = fan_actual_.data();
+  const double* cmd = fan_cmd_.data();
+  const double* slew = fan_slew_.data();
+  const double* memo = memo_rpm_.data();
+  SlewScan scan;
   for (std::size_t i = lo; i < hi; ++i) {
-    act[i] = plant::slew_toward(act[i], cmd[i], slew[i] * dt);
+    const double reach = slew[i] * dt;
+    act[i] = plant::slew_toward(act[i], cmd[i], reach);
+    // A NaN speed never matches its memo, so it misses on every substep.
+    scan.missed |= act[i] != memo[i];
+    // Bitwise, not ==: a lane at -0.0 under a +0.0 command still moves
+    // (slew_toward returns the command's bits), so it is not settled yet.
+    // The reach test is the one the next slew makes; it fails for a NaN
+    // reach (an infinite slew over dt = 0) or a non-finite command.
+    scan.settled &= std::bit_cast<std::uint64_t>(act[i]) ==
+                        std::bit_cast<std::uint64_t>(cmd[i]) &&
+                    std::fabs(cmd[i] - act[i]) <= reach;
   }
+  return scan;
+}
 
-  // Pass 2 — refresh memoised transcendentals for lanes whose speed moved
-  // (slewing fans); settled lanes — the steady state — skip the pow/exp
-  // entirely, which is where the batched speedup comes from.  Lanes that
-  // do move often move in lockstep (a rack of identical SKUs slewing to
-  // the same zone command): the rolling share below reuses the value just
-  // computed for the previous miss whenever this lane's speed *and* every
-  // coefficient feeding the pow/exp match it — bit-identical by
-  // construction, since equal inputs give equal outputs — so a lockstep
-  // slew pays for one transcendental per chunk instead of one per lane.
-  {
-    double* __restrict memo = memo_rpm_.data();
-    double* __restrict r_hs = r_hs_.data();
-    double* __restrict hs_decay = hs_decay_.data();
-    const double* __restrict r_base = r_base_.data();
-    const double* __restrict r_coeff = r_coeff_.data();
-    const double* __restrict r_exp = r_exp_.data();
-    const double* __restrict cap = hs_capacitance_.data();
-    std::uint64_t misses = 0;
-    std::uint64_t shared = 0;
-    std::size_t src = hi;  // lane of the last real recompute; hi = none yet
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (act[i] == memo[i]) continue;  // settled lane: full hit
-      if (src != hi && act[i] == act[src] && r_base[i] == r_base[src] &&
-          r_coeff[i] == r_coeff[src] && r_exp[i] == r_exp[src] &&
-          cap[i] == cap[src]) {
-        memo[i] = act[i];
-        r_hs[i] = r_hs[src];
-        hs_decay[i] = hs_decay[src];
-        ++shared;
-        continue;
-      }
+// Refresh the memoised transcendentals for lanes whose speed moved
+// (slewing fans); settled lanes — the steady state — skip the pow/exp
+// entirely, which is where the batched speedup comes from.  Lanes that do
+// move often move in lockstep (a rack of identical SKUs slewing to the
+// same zone command): the rolling share below reuses the value just
+// computed for the previous miss whenever this lane's speed *and* every
+// coefficient feeding the pow/exp match it — bit-identical by
+// construction, since equal inputs give equal outputs — so a lockstep
+// slew pays for one transcendental per range instead of one per lane.
+void ServerBatch::refresh_memos(std::size_t lo, std::size_t hi, double dt,
+                                MemoTally& tally) noexcept {
+  const double* act = fan_actual_.data();
+  double* memo = memo_rpm_.data();
+  double* r_hs = r_hs_.data();
+  double* hs_decay = hs_decay_.data();
+  const double* r_base = r_base_.data();
+  const double* r_coeff = r_coeff_.data();
+  const double* r_exp = r_exp_.data();
+  const double* cap = hs_capacitance_.data();
+  std::uint64_t misses = 0;
+  std::uint64_t shared = 0;
+  std::size_t src = hi;  // lane of the last real recompute; hi = none yet
+  for (std::size_t i = lo; i < hi; ++i) {
+    if (act[i] == memo[i]) continue;  // settled lane: full hit
+    if (src != hi && act[i] == act[src] && r_base[i] == r_base[src] &&
+        r_coeff[i] == r_coeff[src] && r_exp[i] == r_exp[src] &&
+        cap[i] == cap[src]) {
       memo[i] = act[i];
-      r_hs[i] = plant::heat_sink_resistance(r_base[i], r_coeff[i], r_exp[i],
-                                            act[i]);
-      hs_decay[i] = plant::rc_decay(dt, r_hs[i] * cap[i]);
-      src = i;
-      ++misses;
+      r_hs[i] = r_hs[src];
+      hs_decay[i] = hs_decay[src];
+      ++shared;
+      continue;
     }
-    if (memo_telemetry_) {
-      const std::uint64_t lanes = static_cast<std::uint64_t>(hi - lo);
-      memo_hits_c_->add(lanes - misses - shared, memo_slot(lo));
-      memo_shared_hits_c_->add(shared, memo_slot(lo));
-      memo_misses_c_->add(misses, memo_slot(lo));
-    }
+    memo[i] = act[i];
+    r_hs[i] =
+        plant::heat_sink_resistance(r_base[i], r_coeff[i], r_exp[i], act[i]);
+    hs_decay[i] = plant::rc_decay(dt, r_hs[i] * cap[i]);
+    src = i;
+    ++misses;
   }
+  tally.hits += (hi - lo) - misses - shared;
+  tally.shared += shared;
+  tally.misses += misses;
+}
 
-  // Pass 3 — branch-free SoA plant update, same per-lane operation order
-  // as Server::step: fan power at the new speed, then heat-sink node, then
-  // die node (paper Eqns. 2-3).
-  {
-    double* __restrict t_hs = heat_sink_.data();
-    double* __restrict t_j = junction_.data();
-    double* __restrict fan_w = fan_watts_.data();
-    const double* __restrict p_cpu = cpu_watts_.data();
-    const double* __restrict ambient = ambient_.data();
-    const double* __restrict r_hs = r_hs_.data();
-    const double* __restrict hs_decay = hs_decay_.data();
-    const double* __restrict die_decay = die_decay_.data();
-    const double* __restrict r_die = r_die_.data();
-    const double* __restrict pmax = fan_pmax_.data();
-    const double* __restrict smax = fan_smax_.data();
-    for (std::size_t i = lo; i < hi; ++i) {
-      fan_w[i] = plant::fan_power(pmax[i], smax[i], act[i]);
-      const double hs_ss = ambient[i] + r_hs[i] * p_cpu[i];  // Eqn. 3
-      t_hs[i] = plant::rc_relax(t_hs[i], hs_ss, hs_decay[i]);
-      const double die_ss = t_hs[i] + r_die[i] * p_cpu[i];
-      t_j[i] = plant::rc_relax(t_j[i], die_ss, die_decay[i]);
-    }
-  }
+void ServerBatch::add_memo_tally(const MemoTally& tally,
+                                 std::size_t lo) noexcept {
+  if (!memo_telemetry_) return;
+  memo_hits_c_->add(tally.hits, memo_slot(lo));
+  memo_shared_hits_c_->add(tally.shared, memo_slot(lo));
+  memo_misses_c_->add(tally.misses, memo_slot(lo));
 }
 
 }  // namespace fsc

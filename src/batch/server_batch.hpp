@@ -26,15 +26,20 @@
 //     decay factor are constant until the next command — reproduces the
 //     recomputed values bit for bit.
 //
-// The three passes of step_all keep the transcendental refresh (branchy,
-// usually a no-op) out of the main update loop, so pass 1 (slew select)
-// and pass 3 (multiply-add chains) auto-vectorize cleanly.
+// Each substep is three passes: the actuator slew, the transcendental
+// refresh (branchy, and run only when some lane's speed left its memo),
+// and the plant update — fan power plus the shared lane body
+// plant::step_nodes.  Only the plant update is a vector loop: GCC will not
+// if-convert the slew's select under the default -ftrapping-math (it
+// refuses to speculate the out-of-reach add), so the slew stays a short
+// scalar pass.
 //
 // What is NOT here: the per-substep accounting around the plant — sensor
 // sample phase, energy integrals, junction statistics — lives in the
-// companion SoA block batch/lane_accounting.hpp, which reads this batch's
-// outputs after each step_range and mirrors the plant state back into the
-// Servers once per control period.  The sensor's delay line, noise and
+// companion SoA block batch/lane_accounting.hpp, whose period kernel
+// (LaneAccounting::advance_period) runs these same passes fused with the
+// accounting for a whole control period, and mirrors the plant state back
+// into the Servers once per period.  The sensor's delay line, noise and
 // per-slot RNG stay in the Server: they are touched only at sample
 // instants, through the sensor's own cold path.
 //
@@ -94,15 +99,17 @@ class ServerBatch {
   /// std::invalid_argument when dt < 0.
   void prepare_dt(double dt);
 
-  /// Advance only lanes [lo, hi) by one substep of `dt` seconds.  Lanes
-  /// are fully independent, so disjoint ranges may step concurrently —
-  /// this is the chunk-parallel entry used by RackBatchStepper.  Requires
+  /// Advance only lanes [lo, hi) by one substep of `dt` seconds, plant
+  /// only (the engines advance plant and accounting together, a period at
+  /// a time, through LaneAccounting::advance_period).  Lanes are fully
+  /// independent, so disjoint ranges may step concurrently.  Requires
   /// dt >= 0 and lo <= hi <= size() (std::invalid_argument) and
   /// prepare_dt(dt) to have run (throws std::logic_error otherwise).
   void step_range(std::size_t lo, std::size_t hi, double dt);
 
-  /// Memoisation telemetry over all step_all/step_range lanes processed
-  /// since the last reset: a *hit* skipped the pow/exp entirely (fan speed
+  /// Memoisation telemetry over every lane-substep that step_all,
+  /// step_range and LaneAccounting::advance_period processed since the
+  /// last reset: a *hit* skipped the pow/exp entirely (fan speed
   /// unchanged), a *shared hit* reused the value just computed for an
   /// identical-coefficient lane at the same speed (lockstep slews), a
   /// *miss* paid for the transcendentals.  OFF by default — the engines'
@@ -146,14 +153,37 @@ class ServerBatch {
   double junction_celsius(std::size_t i) const noexcept { return junction_[i]; }
   double fan_watts(std::size_t i) const noexcept { return fan_watts_[i]; }
 
-  /// The same outputs as raw lane arrays, for companion SoA passes over a
-  /// lane range (batch/lane_accounting.hpp).  Invalidated by add_server().
-  const double* junction_lanes() const noexcept { return junction_.data(); }
-  const double* cpu_watts_lanes() const noexcept { return cpu_watts_.data(); }
-  const double* fan_watts_lanes() const noexcept { return fan_watts_.data(); }
-
  private:
+  /// The period kernel fuses the passes below with its accounting.
+  friend class LaneAccounting;
+
+  /// What one slew pass saw over a lane range.
+  struct SlewScan {
+    bool missed = false;  ///< some lane left its transcendental memo
+    /// Every lane holds its command's exact bits and the next slew lands
+    /// on it again: slew, memo and fan power are fixed points for the rest
+    /// of the period (the inputs change only at set_inputs).
+    bool settled = true;
+  };
+  /// Memo outcomes over a run of lane-substeps (see memo_hits()).
+  struct MemoTally {
+    std::uint64_t hits = 0;
+    std::uint64_t shared = 0;
+    std::uint64_t misses = 0;
+  };
+
   void refresh_dt(double dt);
+  /// Throws std::logic_error unless prepare_dt(dt) has run.
+  void require_prepared(double dt) const;
+  /// Pass 1: slew lanes [lo, hi) toward their drive.
+  SlewScan slew_range(std::size_t lo, std::size_t hi, double dt) noexcept;
+  /// Pass 2: refresh the memos of lanes whose speed moved, tallying every
+  /// lane of the range into `tally`.  Run only after a slew that missed.
+  void refresh_memos(std::size_t lo, std::size_t hi, double dt,
+                     MemoTally& tally) noexcept;
+  /// Publish `tally` (when telemetry is on) to the range's counter slot.
+  void add_memo_tally(const MemoTally& tally, std::size_t lo) noexcept;
+
   std::size_t memo_slot(std::size_t lo) const noexcept {
     return (memo_slot_salt_ + lo) / kLanesPerCacheLine;
   }

@@ -5,6 +5,9 @@
 //   * ServerBatch at N = 1 against Server::step and against
 //     ServerThermalModel::step (the scalar step is the N = 1 wrapper over
 //     the same plant_kernel.hpp expressions);
+//   * the period kernel (LaneAccounting::advance_period) against the
+//     scalar Server::step and against itself run one substep per call,
+//     which never takes the settled tail: state and memo tallies equal;
 //   * RackBatchStepper's lane accounting (sensor phase, energy, junction
 //     statistics) against per-slot scalar Session::step_period, at every
 //     period boundary, across range widths and thread counts, under the
@@ -72,7 +75,7 @@ TEST(PlantKernel, SlewLandsExactlyOnCommandWithinReach) {
 
 TEST(ServerBatch, N1BitIdenticalToScalarServerStep) {
   // Noisy sensor on a sample period that is not a multiple of dt: the
-  // lane accounting must take each sample at the same substep, with the
+  // period kernel must take each sample at the same substep, with the
   // same Rng draw, as SensorChain::observe.
   ServerParams params;
   params.sensor.noise_stddev = 0.4;
@@ -87,10 +90,12 @@ TEST(ServerBatch, N1BitIdenticalToScalarServerStep) {
   ASSERT_EQ(batch.size(), 1u);
   LaneAccounting accounts;
   ASSERT_EQ(accounts.add_lane(batched), 0u);
+  batch.prepare_dt(kDt);
 
   for (long period = 0; period < 120; ++period) {
     // Exercise all regimes: load square wave, fan commands that slew for
-    // several substeps, an inlet retarget mid-run (plenum coupling).
+    // several substeps (and then settle for whole periods, so the kernel
+    // runs its settled tail), an inlet retarget mid-run (plenum coupling).
     const double u = (period / 7) % 2 == 0 ? 0.25 : 0.85;
     const double cmd = (period % 40) < 20 ? 2500.0 : 7000.0;
     scalar.command_fan(cmd);
@@ -102,15 +107,11 @@ TEST(ServerBatch, N1BitIdenticalToScalarServerStep) {
     batch.set_inputs(0, batched.cpu_power_now(u), batched.fan_speed_commanded(),
                      batched.inlet_temperature());
     accounts.load(0);
-    for (long s = 0; s < kSubstepsPerPeriod; ++s) {
-      scalar.step(u, kDt);
-      batch.step_all(kDt);
-      accounts.account_range(batch, 0, 1, kDt);
-      ASSERT_EQ(scalar.true_junction(), batch.junction_celsius(0))
-          << "period " << period << " substep " << s;
-      ASSERT_EQ(scalar.true_heat_sink(), batch.heat_sink_celsius(0));
-      ASSERT_EQ(scalar.fan_speed_actual(), batch.fan_rpm(0));
-    }
+    for (long s = 0; s < kSubstepsPerPeriod; ++s) scalar.step(u, kDt);
+    accounts.advance_period(batch, 0, 1, kDt, kSubstepsPerPeriod);
+    ASSERT_EQ(scalar.true_junction(), batch.junction_celsius(0)) << period;
+    ASSERT_EQ(scalar.true_heat_sink(), batch.heat_sink_celsius(0));
+    ASSERT_EQ(scalar.fan_speed_actual(), batch.fan_rpm(0));
     accounts.store(0, batch);
     ASSERT_EQ(scalar.true_junction(), batched.true_junction()) << period;
     ASSERT_EQ(scalar.true_heat_sink(), batched.true_heat_sink());
@@ -169,14 +170,12 @@ TEST(ServerBatch, DtChangeRefreshesTheMemoisedDecays) {
   batched.command_fan(4000.0);
 
   for (double dt : {0.05, 0.05, 0.1, 0.05, 0.025}) {
+    batch.prepare_dt(dt);
     accounts.load(0);
-    for (int s = 0; s < 10; ++s) {
-      scalar.step(0.6, dt);
-      batch.step_all(dt);
-      accounts.account_range(batch, 0, 1, dt);
-      ASSERT_EQ(scalar.true_junction(), batch.junction_celsius(0)) << "dt " << dt;
-      ASSERT_EQ(scalar.true_heat_sink(), batch.heat_sink_celsius(0));
-    }
+    for (int s = 0; s < 10; ++s) scalar.step(0.6, dt);
+    accounts.advance_period(batch, 0, 1, dt, 10);
+    ASSERT_EQ(scalar.true_junction(), batch.junction_celsius(0)) << "dt " << dt;
+    ASSERT_EQ(scalar.true_heat_sink(), batch.heat_sink_celsius(0));
     accounts.store(0, batch);
     ASSERT_EQ(scalar.measured_temp(), batched.measured_temp()) << "dt " << dt;
     ASSERT_EQ(scalar.energy().cpu_energy(), batched.energy().cpu_energy());
@@ -203,6 +202,27 @@ TEST(ServerBatch, StepRangeRequiresPreparedDt) {
   batch.prepare_dt(kDt);
   EXPECT_NO_THROW(batch.step_range(0, 1, kDt));
   EXPECT_THROW(batch.step_range(0, 2, kDt), std::invalid_argument);
+}
+
+TEST(LaneAccounting, AdvancePeriodValidatesRangeAndDt) {
+  Rng rng(1);
+  Server a = Server::table1_defaults(rng);
+  Server b = Server::table1_defaults(rng);
+  ServerBatch batch;
+  LaneAccounting accounts;
+  batch.add_server(a);
+  accounts.add_lane(a);
+  EXPECT_THROW(accounts.advance_period(batch, 0, 1, kDt, 1), std::logic_error);
+  batch.prepare_dt(kDt);
+  EXPECT_NO_THROW(accounts.advance_period(batch, 0, 1, kDt, 1));
+  EXPECT_THROW(accounts.advance_period(batch, 0, 2, kDt, 1),
+               std::invalid_argument);
+  EXPECT_THROW(accounts.advance_period(batch, 1, 0, kDt, 1),
+               std::invalid_argument);
+  batch.add_server(b);  // the accounting no longer covers the batch
+  batch.prepare_dt(kDt);
+  EXPECT_THROW(accounts.advance_period(batch, 0, 1, kDt, 1),
+               std::invalid_argument);
 }
 
 TEST(ServerBatch, RangedStepsComposeToTheWholeBatchStep) {
@@ -370,17 +390,19 @@ struct LaneState {
   double fan_rpm;
 };
 
-LaneState lane_state(const LaneSlot& slot) {
-  const EnergyMeter& e = slot.server.energy();
-  const JunctionMeter& j = slot.server.junction();
+LaneState lane_state(const Server& server) {
+  const EnergyMeter& e = server.energy();
+  const JunctionMeter& j = server.junction();
   return {e.cpu_energy(),
           e.fan_energy(),
           e.elapsed(),
           j.stats().state(),
           j.violation_time_s(),
-          slot.server.measured_temp(),
-          slot.server.fan_speed_actual()};
+          server.measured_temp(),
+          server.fan_speed_actual()};
 }
+
+LaneState lane_state(const LaneSlot& slot) { return lane_state(slot.server); }
 
 void expect_same_lane(const LaneState& want, const LaneState& got) {
   EXPECT_EQ(want.cpu_j, got.cpu_j);
@@ -397,10 +419,13 @@ void expect_same_lane(const LaneState& want, const LaneState& got) {
   EXPECT_EQ(want.fan_rpm, got.fan_rpm);
 }
 
-constexpr std::size_t kLaneSlots = 10;
+/// Two full 8-lane ranges and a ragged tail at width 8.
+constexpr std::size_t kLaneSlots = 19;
 constexpr long kLanePeriods = 90;
+/// One control period of substeps, in seconds.
+constexpr double kPeriodS = kDt * static_cast<double>(kSubstepsPerPeriod);
 
-/// A 10-slot rack whose sensors are noisy (every sample draws from the
+/// A 19-slot rack whose sensors are noisy (every sample draws from the
 /// slot's Rng) and sampled on a period that is not a multiple of dt, with
 /// a limit low enough that violation time accrues.
 RackParams lane_rack() {
@@ -480,6 +505,7 @@ TEST(LaneAccounting, StepperMatchesScalarSessionsEveryPeriod) {
   // Reference: every slot through the scalar Session::step_period.
   std::vector<std::vector<LaneState>> want(kLanePeriods);
   bool below_floor = false;  // a fault drove some fan under min_rpm
+  bool crossed = false;      // some junction crossed the limit mid-period
   {
     auto slots = make_lane_slots(rack);
     for (long p = 0; p < kLanePeriods; ++p) {
@@ -488,6 +514,10 @@ TEST(LaneAccounting, StepperMatchesScalarSessionsEveryPeriod) {
         slots[i]->session->step_period();
         want[p].push_back(lane_state(*slots[i]));
         below_floor |= want[p].back().fan_rpm < rack.server.fan.min_rpm;
+        if (p > 0) {
+          const double over = want[p][i].violation_s - want[p - 1][i].violation_s;
+          crossed |= over > 0.0 && over < kPeriodS;
+        }
       }
     }
   }
@@ -495,6 +525,7 @@ TEST(LaneAccounting, StepperMatchesScalarSessionsEveryPeriod) {
   ASSERT_GT(want.back()[0].violation_s, 0.0);
   ASSERT_GT(want.back()[0].junction.n, 0u);
   ASSERT_TRUE(below_floor);
+  ASSERT_TRUE(crossed);
 
   for (std::size_t width :
        {std::size_t{1}, std::size_t{3}, std::size_t{8}, kLaneSlots}) {
@@ -521,6 +552,133 @@ TEST(LaneAccounting, StepperMatchesScalarSessionsEveryPeriod) {
         }
       }
     }
+  }
+}
+
+/// The period kernel's own fleet: `kLaneSlots` Servers with noisy 0.73 s
+/// sensors and a junction limit the load crosses, stepped on one batch.
+/// With `share`, lanes 2 and 5 draw from one Rng — both inside the first
+/// range at width >= 8, so their samples interleave in (substep, lane)
+/// order.
+struct KernelFleet {
+  static constexpr double kLimit = 62.0;
+
+  std::vector<std::unique_ptr<Rng>> rngs;
+  std::vector<std::unique_ptr<Server>> servers;
+  ServerBatch batch;
+  LaneAccounting accounts;
+
+  explicit KernelFleet(bool share) {
+    ServerParams params;
+    params.sensor.noise_stddev = 0.5;
+    params.sensor.sample_period_s = 0.73;
+    for (std::size_t i = 0; i < kLaneSlots; ++i) {
+      rngs.push_back(std::make_unique<Rng>(derive_seed(17, i)));
+      Rng& rng = share && i == 5 ? *rngs[2] : *rngs.back();
+      servers.push_back(std::make_unique<Server>(
+          params, 2000.0 + 150.0 * static_cast<double>(i % 4), rng));
+      servers.back()->junction_meter().reset(kLimit);
+      batch.add_server(*servers.back());
+      accounts.add_lane(*servers.back());
+    }
+    batch.prepare_dt(kDt);
+    batch.set_memo_telemetry(true);
+  }
+
+  /// The period's inputs, a pure function of (period, lane): commands
+  /// that hold for six periods (the lanes settle, so ranges run whole
+  /// periods in the settled tail), a seized fan on lane 3 (infinite
+  /// slew) from period 10 to 30, a load square wave that carries the
+  /// junctions across the limit mid-period, and an inlet retarget.
+  /// Returns the utilization.
+  double steer(long period, std::size_t i) {
+    Server& server = *servers[i];
+    const double lane = static_cast<double>(i);
+    server.command_fan(((period / 6) + static_cast<long>(i)) % 3 == 0
+                           ? 2200.0 + 100.0 * lane
+                           : 4500.0);
+    if (i == 3 && period == 10) server.set_fan_fault(FanFaultMode::kSeized, 2500.0);
+    if (i == 3 && period == 30) server.clear_fan_fault();
+    if (period == 40) server.set_inlet_temperature(server.inlet_temperature() + 1.5);
+    return ((period + static_cast<long>(i)) / 4) % 2 == 0 ? 0.2 : 0.9;
+  }
+
+  /// Open the period on every lane: steer, gather, load.
+  void begin(long period) {
+    for (std::size_t i = 0; i < kLaneSlots; ++i) {
+      const double u = steer(period, i);
+      batch.set_inputs(i, servers[i]->cpu_power_now(u), servers[i]->fan_drive(),
+                       servers[i]->inlet_temperature());
+      accounts.load(i);
+    }
+  }
+  void end() {
+    for (std::size_t i = 0; i < kLaneSlots; ++i) accounts.store(i, batch);
+  }
+};
+
+TEST(LaneAccounting, PeriodKernelMatchesScalarAndPerSubstepPaths) {
+  for (std::size_t width :
+       {std::size_t{1}, std::size_t{3}, std::size_t{8}, kLaneSlots}) {
+    const bool share = width >= 8;
+    SCOPED_TRACE("width=" + std::to_string(width));
+    // The scalar reference steps every lane substep-outer, lane-inner —
+    // the order the kernel's samples are drawn in.
+    KernelFleet scalar(share);
+    KernelFleet whole(share);   // one kernel call per range per period
+    KernelFleet single(share);  // one substep per call: never the tail
+    bool crossed = false;
+    bool seized = false;
+    for (long p = 0; p < kLanePeriods; ++p) {
+      std::vector<double> u(kLaneSlots);
+      std::vector<double> violation_before(kLaneSlots);
+      for (std::size_t i = 0; i < kLaneSlots; ++i) {
+        u[i] = scalar.steer(p, i);
+        violation_before[i] = scalar.servers[i]->junction().violation_time_s();
+      }
+      for (long s = 0; s < kSubstepsPerPeriod; ++s) {
+        for (std::size_t i = 0; i < kLaneSlots; ++i) {
+          scalar.servers[i]->step(u[i], kDt);
+        }
+      }
+      whole.begin(p);
+      single.begin(p);
+      for (std::size_t lo = 0; lo < kLaneSlots; lo += width) {
+        const std::size_t hi = std::min(lo + width, kLaneSlots);
+        whole.accounts.advance_period(whole.batch, lo, hi, kDt,
+                                      kSubstepsPerPeriod);
+      }
+      for (long s = 0; s < kSubstepsPerPeriod; ++s) {
+        for (std::size_t lo = 0; lo < kLaneSlots; lo += width) {
+          const std::size_t hi = std::min(lo + width, kLaneSlots);
+          single.accounts.advance_period(single.batch, lo, hi, kDt, 1);
+        }
+      }
+      whole.end();
+      single.end();
+      for (std::size_t i = 0; i < kLaneSlots; ++i) {
+        SCOPED_TRACE("period=" + std::to_string(p) +
+                     " lane=" + std::to_string(i));
+        const LaneState want = lane_state(*scalar.servers[i]);
+        expect_same_lane(want, lane_state(*whole.servers[i]));
+        expect_same_lane(want, lane_state(*single.servers[i]));
+        if (HasFailure()) return;
+        const double over = want.violation_s - violation_before[i];
+        crossed |= over > 0.0 && over < kPeriodS;
+        seized |= i == 3 && p == 10 && want.fan_rpm == 2500.0;
+      }
+    }
+    // The run must exercise what is being compared.
+    EXPECT_TRUE(crossed);
+    EXPECT_TRUE(seized);  // the infinite slew landed within one period
+    // The tail counts its hits in bulk; the totals cannot move.
+    EXPECT_EQ(whole.batch.memo_hits(), single.batch.memo_hits());
+    EXPECT_EQ(whole.batch.memo_shared_hits(), single.batch.memo_shared_hits());
+    EXPECT_EQ(whole.batch.memo_misses(), single.batch.memo_misses());
+    EXPECT_GT(whole.batch.memo_misses(), 0u);
+    EXPECT_EQ(whole.batch.memo_hits() + whole.batch.memo_shared_hits() +
+                  whole.batch.memo_misses(),
+              kLaneSlots * kLanePeriods * kSubstepsPerPeriod);
   }
 }
 

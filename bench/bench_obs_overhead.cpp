@@ -1,17 +1,8 @@
 // The telemetry tax, measured and gated — the obs/ subsystem's contract
-// is "attaching telemetry never perturbs results, and NOT attaching it
-// costs (nearly) nothing".  The first half is pinned by tests/test_obs
-// (bit-identity EXPECT_EQ); this bench pins the second half:
-//
-//   * detached vs compiled-out — a binary built with -DFSC_OBS=OFF has no
-//     hook sites at all; this binary (FSC_OBS=ON, sinks detached) must
-//     step the room-64 scenario within 2 %.  That is a two-build
-//     comparison, so it runs through a baseline file: the OFF build
-//     writes its room-64 ns to the path in $FSC_OBS_BASELINE, the ON
-//     build reads the same path and gates against it (SKIP, not FAIL,
-//     when the file or the env var is absent — local runs stay green).
-//   * attached vs detached — full metrics + tracing on rack-64 must stay
-//     within 10 % of the detached run.  In-binary, always enforced.
+// is "attaching telemetry never perturbs results, and costs little".  The
+// first half is pinned by tests/test_obs (bit-identity EXPECT_EQ); this
+// bench pins the second: full metrics + tracing on rack-64 must stay
+// within 10 % of the detached run.
 //
 // Writes BENCH_obs_overhead.json (override via FSC_BENCH_JSON) with the
 // same schema as the other BENCH_*.json trajectory files.
@@ -20,8 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -90,13 +80,6 @@ double rack_ns(bool attached) {
       .count();
 }
 
-template <typename F>
-double min_of(int reps, F&& measure) {
-  double best = measure();
-  for (int i = 1; i < reps; ++i) best = std::min(best, measure());
-  return best;
-}
-
 // Trajectory rows (min-of handled by google-benchmark's own repetition).
 void BM_Room64Detached(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(room_detached_ns());
@@ -113,66 +96,27 @@ void BM_Rack64Attached(benchmark::State& state) {
 }
 BENCHMARK(BM_Rack64Attached)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// The cross-build detached-vs-compiled-out gate (see file comment).
-/// Returns false only on an enforced regression.
-bool baseline_gate(double room_ns) {
-  const char* path = std::getenv("FSC_OBS_BASELINE");
-  if (path == nullptr) {
-    std::printf(
-        "[SKIP] obs-detached vs FSC_OBS=OFF: FSC_OBS_BASELINE not set\n");
-    return true;
-  }
-#if !FSC_OBS_ENABLED
-  // This IS the no-telemetry build: publish the baseline for the ON build.
-  std::ofstream out(path);
-  if (!out) {
-    std::printf("[SKIP] cannot write baseline file %s\n", path);
-    return true;
-  }
-  out << room_ns << "\n";
-  std::printf("obs baseline (FSC_OBS=OFF room-64): %.0f ns -> %s\n", room_ns,
-              path);
-  return true;
-#else
-  std::ifstream in(path);
-  double off_ns = 0.0;
-  if (!(in >> off_ns) || off_ns <= 0.0) {
-    std::printf(
-        "[SKIP] obs-detached vs FSC_OBS=OFF: no baseline at %s (run the "
-        "FSC_OBS=OFF build of this bench first)\n",
-        path);
-    return true;
-  }
-  return fsc_bench::check_beats("obs-detached", "room64_wall_ns",
-                                "1.02x FSC_OBS=OFF build", 1.02 * off_ns,
-                                room_ns);
-#endif
-}
-
-/// Measure both gates with min-of-N (the standard noise-robust estimator
-/// for a deterministic workload) and print the verdicts.  The cross-build
-/// room comparison carries a 2 % budget, so it gets extra reps: its noise
-/// floor is per-binary code layout + scheduler jitter, not hook work.
+/// Measure the gate with min-of-N (the standard noise-robust estimator
+/// for a deterministic workload), detached and attached runs interleaved
+/// in alternating order so host drift lands on both sides, and print the
+/// verdict.
 bool print_overhead_verdict() {
-  const double room_ns = min_of(5, room_detached_ns);
+  constexpr int kPairs = 3;
+  double detached_ns = std::numeric_limits<double>::infinity();
+  double attached_ns = detached_ns;
+  for (int i = 0; i < kPairs; ++i) {
+    const bool attached_first = i % 2 == 1;
+    if (attached_first) attached_ns = std::min(attached_ns, rack_ns(true));
+    detached_ns = std::min(detached_ns, rack_ns(false));
+    if (!attached_first) attached_ns = std::min(attached_ns, rack_ns(true));
+  }
   std::printf("\n--- telemetry overhead (threads=%zu) ---\n", bench_threads());
-  std::printf("room-64 detached          : %10.2f ms\n", room_ns / 1e6);
-  bool ok = baseline_gate(room_ns);
-#if FSC_OBS_ENABLED
-  const double detached_ns = min_of(3, [] { return rack_ns(false); });
-  const double attached_ns = min_of(3, [] { return rack_ns(true); });
   std::printf("rack-64 detached          : %10.2f ms\n", detached_ns / 1e6);
   std::printf("rack-64 metrics + tracing : %10.2f ms (%.2fx)\n",
               attached_ns / 1e6, attached_ns / detached_ns);
-  ok &= fsc_bench::check_beats("obs-attached", "rack64_wall_ns",
-                               "1.10x detached", 1.10 * detached_ns,
-                               attached_ns);
-#else
-  std::printf(
-      "[SKIP] obs-attached vs detached: built with FSC_OBS=OFF (no hook "
-      "sites to attach to)\n");
-#endif
-  return ok;
+  return fsc_bench::check_beats("obs-attached", "rack64_wall_ns",
+                                "1.10x detached", 1.10 * detached_ns,
+                                attached_ns);
 }
 
 }  // namespace

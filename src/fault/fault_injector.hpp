@@ -80,12 +80,10 @@ class FaultInjector {
   std::size_t events_armed_ = 0;
   std::size_t events_cleared_ = 0;
 
-#if FSC_OBS_ENABLED
   obs::TraceRecorder* trace_ = nullptr;
   obs::Counter* armed_counter_ = nullptr;
   obs::Counter* cleared_counter_ = nullptr;
   std::uint32_t rack_label_ = 0;
-#endif
 };
 
 }  // namespace fsc

@@ -10,10 +10,6 @@
 #define FSC_GIT_DESCRIBE "unknown"
 #endif
 
-#ifndef FSC_OBS_ENABLED
-#define FSC_OBS_ENABLED 1
-#endif
-
 namespace fsc::obs {
 
 namespace {
@@ -48,7 +44,6 @@ RunManifest RunManifest::collect() {
   RunManifest m;
   m.git_describe = FSC_GIT_DESCRIBE;
   m.host_cores = std::thread::hardware_concurrency();
-  m.obs_enabled = FSC_OBS_ENABLED != 0;
   return m;
 }
 
@@ -60,7 +55,6 @@ std::string RunManifest::to_json(int indent) const {
   os << "{\n";
   os << pad << "\"git_describe\": \"" << json_escape(git_describe) << "\",\n";
   os << pad << "\"host_cores\": " << host_cores << ",\n";
-  os << pad << "\"obs_enabled\": " << (obs_enabled ? "true" : "false") << ",\n";
   os << pad << "\"threads\": " << threads << ",\n";
   os << pad << "\"seed\": " << seed << ",\n";
   os << pad << "\"command\": \"" << json_escape(command) << "\",\n";

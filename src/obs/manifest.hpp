@@ -18,7 +18,6 @@ struct RunManifest {
   // Build + host facts (collect()).
   std::string git_describe;   ///< `git describe` at configure time
   unsigned host_cores = 0;    ///< std::thread::hardware_concurrency()
-  bool obs_enabled = true;    ///< built with FSC_OBS (engine hooks live)
 
   // Per-run configuration (driver-filled; zero/empty = not applicable).
   std::size_t threads = 0;

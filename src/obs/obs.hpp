@@ -8,25 +8,17 @@
 //     run with every sink attached is bit-identical to a detached run
 //     (tests/test_obs.cpp pins this with EXPECT_EQ).
 //   * Detached costs one branch per site.  Every hook in the engines is
-//     `if (ptr) ...` against a pointer cached at session construction;
-//     bench_obs_overhead gates the detached room throughput against a
-//     build without telemetry at all.
-//   * Compiled in by default, compile-out-able entirely: configuring with
-//     -DFSC_OBS=OFF defines FSC_OBS_ENABLED=0 and strips every engine hook
-//     site.  The obs/ classes themselves always build (ServerBatch's memo
-//     tallies ride on obs::Counter regardless), only the wiring is gated.
+//     `if (ptr) ...` against a pointer cached at session construction.
+//     Attaching is cheap too: bench_obs_overhead holds a fully attached
+//     rack-64 run within 1.10x of a detached one.
+//   * Always compiled in: there is one build, and no option strips the
+//     hook sites.
 #pragma once
 
 #include <cstdint>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-
-// CMake's FSC_OBS option defines this on the library interface; a bare
-// compile (no build system) gets the full wiring.
-#ifndef FSC_OBS_ENABLED
-#define FSC_OBS_ENABLED 1
-#endif
 
 namespace fsc::obs {
 

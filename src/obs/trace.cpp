@@ -43,6 +43,16 @@ TraceRecorder::~TraceRecorder() {
   // they can only miss, and the vector stays tiny.
 }
 
+void TraceRecorder::ThreadLog::push(const TraceEvent& ev) {
+  if (events.size() < capacity) {
+    events.push_back(ev);
+    return;
+  }
+  events[head] = ev;
+  head = head + 1 == capacity ? 0 : head + 1;
+  ++dropped;
+}
+
 TraceRecorder::ThreadLog& TraceRecorder::local_log() {
   for (const TlsEntry& e : tls_logs) {
     if (e.recorder_id == id_) return *static_cast<ThreadLog*>(e.log);
@@ -58,8 +68,6 @@ void TraceRecorder::complete(const char* name, const char* cat,
                              std::int64_t begin_ns, std::int64_t end_ns,
                              std::uint32_t rack, std::uint32_t shard,
                              std::int64_t round) {
-  ThreadLog& log = local_log();
-  if (log.events.full()) ++log.dropped;
   TraceEvent ev;
   ev.name = name;
   ev.cat = cat;
@@ -68,14 +76,12 @@ void TraceRecorder::complete(const char* name, const char* cat,
   ev.round = round;
   ev.rack = rack;
   ev.shard = shard;
-  log.events.push(ev);
+  local_log().push(ev);
 }
 
 void TraceRecorder::instant(const char* name, const char* cat,
                             std::uint32_t rack, std::uint32_t shard,
                             std::int64_t round) {
-  ThreadLog& log = local_log();
-  if (log.events.full()) ++log.dropped;
   TraceEvent ev;
   ev.name = name;
   ev.cat = cat;
@@ -84,7 +90,7 @@ void TraceRecorder::instant(const char* name, const char* cat,
   ev.round = round;
   ev.rack = rack;
   ev.shard = shard;
-  log.events.push(ev);
+  local_log().push(ev);
 }
 
 const char* TraceRecorder::intern(std::string_view s) {
@@ -99,7 +105,7 @@ const char* TraceRecorder::intern(std::string_view s) {
 std::size_t TraceRecorder::recorded_events() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t total = 0;
-  for (const auto& log : logs_) total += log->events.size();
+  for (const auto& log : logs_) total += log->size();
   return total;
 }
 
@@ -130,8 +136,8 @@ void TraceRecorder::write_json(std::ostream& os,
     const int tid = static_cast<int>(t) + 1;
     os << ",\n{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": "
        << tid << ", \"args\": {\"name\": \"track-" << t << "\"}}";
-    for (std::size_t i = 0; i < log.events.size(); ++i) {
-      const TraceEvent& ev = log.events.at(i);
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      const TraceEvent& ev = log.at(i);
       // Chrome wants microseconds; keep ns resolution via the fraction.
       const double ts_us = static_cast<double>(ev.ts_ns - epoch_ns_) / 1000.0;
       os << ",\n{\"name\": \"" << (ev.name != nullptr ? ev.name : "?")

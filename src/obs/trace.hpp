@@ -1,13 +1,14 @@
 // Span tracing to Chrome/Perfetto trace-event JSON.
 //
-// Recording model: each recording thread owns a private RingBuffer of
-// fixed-size TraceEvents (util/ring_buffer.hpp), registered with the
-// recorder on that thread's first event.  Recording is therefore
-// lock-free after first contact — no shared ring, no cross-thread write
-// contention, and a full buffer evicts that thread's OLDEST events (the
-// tail of a long run wins, and dropped_events() reports the loss).  The
-// engines only record from stable worker threads and the barrier thread,
-// so the per-thread rings double as Perfetto "tracks".
+// Recording model: each recording thread owns a private log of fixed-size
+// TraceEvents, registered with the recorder on that thread's first event.
+// Recording is therefore lock-free after first contact — no shared log,
+// no cross-thread write contention.  A log grows with the events it
+// records up to its capacity, then wraps: a full log evicts that thread's
+// OLDEST events (the tail of a long run wins, and dropped_events()
+// reports the loss).  The engines only record from stable worker threads
+// and the barrier thread, so the per-thread logs double as Perfetto
+// "tracks".
 //
 // Timestamps are absolute steady-clock nanoseconds (monotonic_ns());
 // write_json() rebases them onto the recorder's construction instant so
@@ -28,8 +29,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "util/ring_buffer.hpp"
 
 namespace fsc::obs {
 
@@ -58,10 +57,11 @@ class TraceRecorder {
   /// `per_thread_capacity` events are retained per recording thread; when
   /// a thread overflows, its oldest events are evicted and counted in
   /// dropped_events().  The default holds a multi-hour room day run with
-  /// room to spare (4 events/round x ~2880 rounds/day << 64 Ki) while
-  /// keeping the first-touch cost of a thread's ring (allocated on its
-  /// first event) in the single-digit-MB range — bench_obs_overhead gates
-  /// that cost.
+  /// room to spare (4 events/round x ~2880 rounds/day << 64 Ki).  A
+  /// thread's log is allocated as it fills, so a short run touches memory
+  /// in proportion to the events it records, not the capacity (a 3 MiB
+  /// up-front ring cost a short rack-64 run about 1.3x; bench_obs_overhead
+  /// gates that cost).
   explicit TraceRecorder(std::size_t per_thread_capacity = std::size_t{1}
                                                            << 16);
   ~TraceRecorder();
@@ -96,9 +96,20 @@ class TraceRecorder {
                        const std::string& manifest_json = "") const;
 
  private:
+  /// One thread's events, oldest first from `head` once the log has
+  /// wrapped.  Grows as events arrive and holds at most `capacity`.
   struct ThreadLog {
-    explicit ThreadLog(std::size_t capacity) : events(capacity) {}
-    RingBuffer<TraceEvent> events;
+    explicit ThreadLog(std::size_t cap) : capacity(cap) {}
+    void push(const TraceEvent& ev);
+    std::size_t size() const noexcept { return events.size(); }
+    /// Event `i` counted from the oldest retained one.
+    const TraceEvent& at(std::size_t i) const {
+      return events[(head + i) % events.size()];
+    }
+
+    const std::size_t capacity;
+    std::vector<TraceEvent> events;
+    std::size_t head = 0;  ///< oldest event's index once the log is full
     std::uint64_t dropped = 0;
   };
 

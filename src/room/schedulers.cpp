@@ -214,7 +214,6 @@ void PowerAwareScheduler::schedule(double,
   // genuinely over budget and that slice of load is simply not run).
   PowerBudgetCoordinator::water_fill(headroom_, shed_pool, received_);
 
-#if FSC_OBS_ENABLED
   // Budget rejection: shed watts that fit in NO absorber's headroom — the
   // room is genuinely over budget and that slice of load is not run.
   // Observational only; the directives below are identical either way.
@@ -230,7 +229,6 @@ void PowerAwareScheduler::schedule(double,
       }
     }
   }
-#endif
 
   for (std::size_t i = 0; i < racks.size(); ++i) {
     const RackObservation& r = racks[i];

@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,6 +11,24 @@
 namespace fsc::json {
 
 namespace {
+
+using Members = std::vector<std::pair<std::string, Value>>;
+
+/// A key that appears more than once in `members` (the smallest such, by
+/// byte order), or null.  Sorts pointers to the keys: O(n log n), so a
+/// wide object costs no quadratic scan.
+const std::string* first_duplicate_key(const Members& members) {
+  if (members.size() < 2) return nullptr;
+  std::vector<const std::string*> keys;
+  keys.reserve(members.size());
+  for (const auto& member : members) keys.push_back(&member.first);
+  std::sort(keys.begin(), keys.end(),
+            [](const std::string* a, const std::string* b) { return *a < *b; });
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    if (*keys[i] == *keys[i - 1]) return keys[i];
+  }
+  return nullptr;
+}
 
 class Parser {
  public:
@@ -79,13 +98,23 @@ class Parser {
     }
   }
 
+  /// Enter one container level; parse_value recurses once per level, so
+  /// the limit bounds the stack a hostile document can take.
+  void descend() {
+    if (++depth_ > kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+  }
+
   Value parse_object() {
     expect('{');
-    Value out = Value::object();
+    descend();
+    Members members;
     skip_ws();
     if (peek() == '}') {
       ++pos_;
-      return out;
+      --depth_;
+      return Value::object();
     }
     while (true) {
       skip_ws();
@@ -93,23 +122,27 @@ class Parser {
       skip_ws();
       expect(':');
       skip_ws();
-      out.set(std::move(key), parse_value());
+      members.emplace_back(std::move(key), parse_value());
       skip_ws();
       const char c = next();
-      if (c == '}') return out;
+      if (c == '}') break;
       if (c != ',') {
         --pos_;
         fail("expected ',' or '}' in object");
       }
     }
+    --depth_;
+    return Value::object(std::move(members));  // throws on a duplicate key
   }
 
   Value parse_array() {
     expect('[');
+    descend();
     Value out = Value::array();
     skip_ws();
     if (peek() == ']') {
       ++pos_;
+      --depth_;
       return out;
     }
     while (true) {
@@ -117,12 +150,14 @@ class Parser {
       out.push_back(parse_value());
       skip_ws();
       const char c = next();
-      if (c == ']') return out;
+      if (c == ']') break;
       if (c != ',') {
         --pos_;
         fail("expected ',' or ']' in array");
       }
     }
+    --depth_;
+    return out;
   }
 
   std::string parse_string() {
@@ -206,6 +241,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers open at pos_
 };
 
 void dump_value(const Value& v, std::ostringstream& os, int indent, int depth) {
@@ -299,6 +335,15 @@ Value Value::array() {
 Value Value::object() {
   Value v;
   v.type_ = Type::kObject;
+  return v;
+}
+
+Value Value::object(Members members) {
+  if (const std::string* key = first_duplicate_key(members)) {
+    throw std::invalid_argument("json: duplicate key '" + *key + "'");
+  }
+  Value v = object();
+  v.members_ = std::move(members);
   return v;
 }
 

@@ -6,7 +6,10 @@
 // itself emits — objects, arrays, strings with the standard escapes,
 // doubles, bools, null — not a general-purpose library: numbers parse via
 // strtod (no bignum), \uXXXX escapes decode to UTF-8, and object keys keep
-// insertion order so emitted files diff stably.
+// insertion order so emitted files diff stably.  Hostile input is rejected
+// by name, never a crash: nesting deeper than kMaxDepth containers (the
+// parser recurses once per level) and duplicate object keys (which would
+// otherwise silently keep one of the two values) both throw.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +18,9 @@
 #include <vector>
 
 namespace fsc::json {
+
+/// Deepest container nesting parse() accepts.  A scenario file needs 4.
+inline constexpr std::size_t kMaxDepth = 64;
 
 /// One JSON value (tree-owning).  Accessors throw std::invalid_argument on
 /// a type mismatch so scenario-file errors surface with a message instead
@@ -31,10 +37,14 @@ class Value {
   static Value string(std::string s);
   static Value array();
   static Value object();
+  /// An object of `members` in their order.  Throws std::invalid_argument
+  /// naming a key that appears twice.
+  static Value object(std::vector<std::pair<std::string, Value>> members);
 
   /// Parse `text` as one JSON document (trailing whitespace allowed,
-  /// trailing garbage rejected).  Throws std::invalid_argument with the
-  /// byte offset on malformed input.
+  /// trailing garbage rejected).  Throws std::invalid_argument on
+  /// malformed input (with the byte offset), on nesting deeper than
+  /// kMaxDepth and on a duplicate object key (naming the key).
   static Value parse(const std::string& text);
 
   Type type() const noexcept { return type_; }

@@ -3,9 +3,7 @@
 // Perfetto trace JSON validity + span nesting, snapshot exporter output,
 // run manifest serialization — and the cross-layer contract: attaching
 // telemetry to the rack/room engines is bit-identical to running
-// detached, and the merged counters are identical across thread counts.  The engine-attachment tests compile only when the
-// hook sites do (FSC_OBS_ENABLED); the obs classes themselves are always
-// tested, so an FSC_OBS=OFF build still exercises this file.
+// detached, and the merged counters are identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -291,13 +289,35 @@ TEST(ObsTrace, WritesValidNestedTraceEventJson) {
   EXPECT_EQ(tracks, 2u);
 }
 
+/// The "round" args of a trace's events, in write_json order.
+std::vector<std::int64_t> written_rounds(const obs::TraceRecorder& rec) {
+  std::ostringstream os;
+  rec.write_json(os);
+  const std::string json = os.str();
+  std::vector<std::int64_t> rounds;
+  const std::string key = "\"round\": ";
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + 1)) {
+    rounds.push_back(std::stoll(json.substr(at + key.size())));
+  }
+  return rounds;
+}
+
 TEST(ObsTrace, OverflowEvictsOldestAndCounts) {
   obs::TraceRecorder rec(4);
-  for (int i = 0; i < 10; ++i) {
-    rec.complete("e", "c", i, i + 1);
+  for (int i = 0; i < 3; ++i) {
+    rec.complete("e", "c", i, i + 1, 0, 0, i);
+  }
+  EXPECT_EQ(rec.recorded_events(), 3u);
+  EXPECT_EQ(rec.dropped_events(), 0u);
+  EXPECT_EQ(written_rounds(rec), (std::vector<std::int64_t>{0, 1, 2}));
+  // Seven more overflow it six times: the newest four survive, oldest first.
+  for (int i = 3; i < 10; ++i) {
+    rec.complete("e", "c", i, i + 1, 0, 0, i);
   }
   EXPECT_EQ(rec.recorded_events(), 4u);
   EXPECT_EQ(rec.dropped_events(), 6u);
+  EXPECT_EQ(written_rounds(rec), (std::vector<std::int64_t>{6, 7, 8, 9}));
 }
 
 TEST(ObsTrace, InternStoresStableCopies) {
@@ -404,8 +424,6 @@ TEST(ObsProgress, TicksAndFinishReportToStream) {
   EXPECT_NE(text.find("violations 5"), std::string::npos);
   EXPECT_NE(text.find("50.0%"), std::string::npos);
 }
-
-#if FSC_OBS_ENABLED
 
 // ------------------------------------- engine attachment (hook sites)
 
@@ -674,8 +692,6 @@ TEST(ObsEngine, SnapshotExporterEmitsPerRackAndAggregateRows) {
   EXPECT_NE(text.find(",-1,"), std::string::npos);  // the aggregate row
   std::remove(path.c_str());
 }
-
-#endif  // FSC_OBS_ENABLED
 
 }  // namespace
 }  // namespace fsc

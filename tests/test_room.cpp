@@ -402,9 +402,7 @@ TEST(RoomEngine, BuildingOnATeamChangesNothing) {
   p.obs.metrics = &serial_metrics;
   RoomEngine::Session serial(p);
   const RoomResult reference = drive_serially(serial);
-#if FSC_OBS_ENABLED
   EXPECT_GT(serial_metrics.snapshot().counter("fault.events_armed"), 0u);
-#endif
   for (const std::size_t threads : {2u, 3u, 4u, 8u, 12u}) {
     SCOPED_TRACE(threads);
     obs::MetricsRegistry metrics;

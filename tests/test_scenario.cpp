@@ -9,6 +9,9 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "coord/coordinator.hpp"
 #include "core/policy_factory.hpp"
@@ -291,6 +294,90 @@ TEST(Json, RejectsMalformedInput) {
        {"{", "[1,]", "{\"a\" 1}", "tru", "\"unterminated", "1 2"}) {
     EXPECT_THROW(json::Value::parse(text), std::invalid_argument) << text;
   }
+}
+
+/// The what() of the std::invalid_argument `parse` throws, or "" if none.
+template <typename Parse>
+std::string rejection(Parse&& parse) {
+  try {
+    parse();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(Json, NestingAtTheLimitParsesAndOneDeeperIsRejectedByName) {
+  json::Value v = json::Value::parse(nested_arrays(json::kMaxDepth));
+  std::size_t depth = 1;
+  for (; !v.elements().empty(); ++depth) v = json::Value(v.elements()[0]);
+  EXPECT_EQ(depth, json::kMaxDepth);
+
+  std::string objects;
+  for (std::size_t i = 0; i < json::kMaxDepth; ++i) objects += "{\"a\": ";
+  objects += "1" + std::string(json::kMaxDepth, '}');
+  EXPECT_NO_THROW(json::Value::parse(objects));
+
+  // One level deeper, mixed containers, and far deeper (deep enough to
+  // overflow the stack of an unbounded recursion) all throw naming the
+  // nesting.
+  for (const std::string& text :
+       {nested_arrays(json::kMaxDepth + 1), "[" + objects + "]",
+        std::string(50000, '[')}) {
+    const std::string what = rejection([&] { (void)json::Value::parse(text); });
+    EXPECT_NE(what.find("nesting deeper than"), std::string::npos)
+        << text.substr(0, 80) << " -> " << what;
+  }
+  EXPECT_NE(rejection([] {
+              (void)ScenarioSpec::from_json_text(
+                  "{\"faults\": " + nested_arrays(json::kMaxDepth) + "}");
+            }).find("nesting"),
+            std::string::npos);
+}
+
+TEST(Json, DuplicateKeyIsRejectedByName) {
+  for (const char* text :
+       {R"({"slots": 4, "slots": 8})", R"({"a": {"b": 1, "c": 2, "b": 3}})",
+        R"([{"x": 1}, {"y": 1, "x": 2, "y": 3}])"}) {
+    const std::string what = rejection([&] { (void)json::Value::parse(text); });
+    EXPECT_NE(what.find("duplicate key '"), std::string::npos)
+        << text << " -> " << what;
+  }
+  EXPECT_NE(rejection([] {
+              (void)ScenarioSpec::from_json_text(R"({"slots": 4, "slots": 8})");
+            }).find("duplicate key 'slots'"),
+            std::string::npos);
+  std::vector<std::pair<std::string, json::Value>> members;
+  members.emplace_back("k", json::Value::number(1));
+  members.emplace_back("k", json::Value::number(2));
+  EXPECT_NE(rejection([&] { (void)json::Value::object(std::move(members)); })
+                .find("duplicate key 'k'"),
+            std::string::npos);
+  // Equal values under distinct keys, and the same key in a nested
+  // object, are not duplicates.
+  EXPECT_NO_THROW(json::Value::parse(R"({"a": 1, "b": 1, "c": {"a": 1}})"));
+}
+
+TEST(Json, WideObjectParsesAndRoundTrips) {
+  constexpr std::size_t kKeys = 100000;
+  std::string text = "{";
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    if (i > 0) text += ", ";
+    text += "\"k" + std::to_string(i) + "\": " + std::to_string(i);
+  }
+  text += "}";
+  const json::Value v = json::Value::parse(text);
+  ASSERT_EQ(v.size(), kKeys);
+  for (const std::size_t i : {std::size_t{0}, kKeys / 2, kKeys - 1}) {
+    EXPECT_EQ(v.members()[i].first, "k" + std::to_string(i));
+    EXPECT_EQ(v.members()[i].second.as_index(), i);
+  }
+  EXPECT_EQ(json::Value::parse(v.dump()).dump(), v.dump());
+  EXPECT_EQ(v.dump(), text);
 }
 
 // ------------------------------------------------------ unified registry

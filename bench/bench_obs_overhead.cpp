@@ -11,11 +11,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <thread>
 
 #include "json_reporter.hpp"
+#include "paired_timing.hpp"
 #include "verdict.hpp"
 
 #include "coord/coupled_rack_engine.hpp"
@@ -96,27 +96,22 @@ void BM_Rack64Attached(benchmark::State& state) {
 }
 BENCHMARK(BM_Rack64Attached)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Measure the gate with min-of-N (the standard noise-robust estimator
-/// for a deterministic workload), detached and attached runs interleaved
-/// in alternating order so host drift lands on both sides, and print the
-/// verdict.
+/// Measure the gate with bench/paired_timing.hpp: detached and attached
+/// samples interleaved in alternating order so host drift lands on both
+/// sides, each sample at least 50 ms of back-to-back runs (one 240 s
+/// rack-64 run lasts only 5-10 ms, short enough for host contention to
+/// decide the ratio), min-of-5 per side; then print the verdict.
 bool print_overhead_verdict() {
-  constexpr int kPairs = 3;
-  double detached_ns = std::numeric_limits<double>::infinity();
-  double attached_ns = detached_ns;
-  for (int i = 0; i < kPairs; ++i) {
-    const bool attached_first = i % 2 == 1;
-    if (attached_first) attached_ns = std::min(attached_ns, rack_ns(true));
-    detached_ns = std::min(detached_ns, rack_ns(false));
-    if (!attached_first) attached_ns = std::min(attached_ns, rack_ns(true));
-  }
+  const fsc_bench::PairedSeconds s = fsc_bench::min_of_interleaved(
+      [] { return rack_ns(false) * 1e-9; }, [] { return rack_ns(true) * 1e-9; },
+      /*pairs=*/5);
   std::printf("\n--- telemetry overhead (threads=%zu) ---\n", bench_threads());
-  std::printf("rack-64 detached          : %10.2f ms\n", detached_ns / 1e6);
-  std::printf("rack-64 metrics + tracing : %10.2f ms (%.2fx)\n",
-              attached_ns / 1e6, attached_ns / detached_ns);
+  std::printf("rack-64 detached          : %10.2f ms\n", s.a * 1e3);
+  std::printf("rack-64 metrics + tracing : %10.2f ms (%.2fx)\n", s.b * 1e3,
+              s.b / s.a);
   return fsc_bench::check_beats("obs-attached", "rack64_wall_ns",
-                                "1.10x detached", 1.10 * detached_ns,
-                                attached_ns);
+                                "1.10x detached", 1.10 * s.a * 1e9,
+                                s.b * 1e9);
 }
 
 }  // namespace

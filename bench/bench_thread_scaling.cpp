@@ -9,7 +9,7 @@
 // that step independently between coordination barriers.
 //
 // After the timing loops, main() measures 1-thread vs min(8, cores)-thread
-// wall time with a plain chrono harness and enforces the tentpole claim
+// wall time, interleaved (bench/paired_timing.hpp), and enforces the claim
 // through bench/verdict.hpp: >= 3x speedup at 8 threads for the 64-server
 // rack and >= 2.5x for the 8-rack room — *scaled to the hardware actually
 // present*: a T-core host is asked for T/8 of the 8-core target with a
@@ -30,6 +30,7 @@
 #include <thread>
 
 #include "json_reporter.hpp"
+#include "paired_timing.hpp"
 #include "verdict.hpp"
 
 #include "coord/coupled_rack_engine.hpp"
@@ -112,19 +113,24 @@ BENCHMARK(BM_RoomLockstepChunked)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-/// Min-of-3 plain-chrono wall time of one engine run (the google-benchmark
-/// results are not programmatically accessible here; the minimum is the
-/// standard noise-robust estimator for a deterministic workload).
+/// Per-run wall seconds of a 1-thread and a `team`-thread engine, timed
+/// by bench/paired_timing.hpp: interleaved in alternating order so a slow
+/// host phase lands on both sides, each sample at least 50 ms of
+/// back-to-back runs (one 300 s rack-64 run at 1 thread lasts about 7 ms),
+/// min-of-5 per side.
 template <typename Engine>
-double measure_seconds(const Engine& engine) {
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
+fsc_bench::PairedSeconds time_1t_vs_team(const Engine& one,
+                                         const Engine& team) {
+  const auto timed = [](const Engine& engine) {
     const auto start = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(engine.run());
-    const auto stop = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(stop - start).count());
-  }
-  return best;
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  return fsc_bench::min_of_interleaved([&] { return timed(one); },
+                                       [&] { return timed(team); },
+                                       /*pairs=*/5);
 }
 
 bool print_scaling_verdict() {
@@ -150,20 +156,18 @@ bool print_scaling_verdict() {
   // is judged on.  The derated target and the measured team shrink
   // together, so the gate always tests the claim it states.
   const std::size_t team = static_cast<std::size_t>(ways);
-  const double rack_1t =
-      measure_seconds(CoupledRackEngine(bench_rack(64), 1));
-  const double rack_nt =
-      measure_seconds(CoupledRackEngine(bench_rack(64), team));
-  const double room_1t = measure_seconds(RoomEngine(bench_room(8), 1));
-  const double room_nt =
-      measure_seconds(RoomEngine(bench_room(8), team));
+  const fsc_bench::PairedSeconds rack =
+      time_1t_vs_team(CoupledRackEngine(bench_rack(64), 1),
+                      CoupledRackEngine(bench_rack(64), team));
+  const fsc_bench::PairedSeconds room = time_1t_vs_team(
+      RoomEngine(bench_room(8), 1), RoomEngine(bench_room(8), team));
 
-  const double rack_speedup = rack_1t / rack_nt;
-  const double room_speedup = room_1t / room_nt;
+  const double rack_speedup = rack.a / rack.b;
+  const double room_speedup = room.a / room.b;
   std::printf("rack-64  : %7.1f ms @1t  %7.1f ms @%zut  -> %.2fx\n",
-              rack_1t * 1e3, rack_nt * 1e3, team, rack_speedup);
+              rack.a * 1e3, rack.b * 1e3, team, rack_speedup);
   std::printf("room-8x8 : %7.1f ms @1t  %7.1f ms @%zut  -> %.2fx\n",
-              room_1t * 1e3, room_nt * 1e3, team, room_speedup);
+              room.a * 1e3, room.b * 1e3, team, room_speedup);
 
   // The derated numeric target rides in the baseline label so a verdict
   // line is self-contained: the reader sees both the 8-way claim and what

@@ -21,6 +21,11 @@ SharedPlenumModel::SharedPlenumModel(PlenumParams params,
           "SharedPlenumModel: min airflow rpm must be > 0");
   require(params_.max_rise_celsius >= 0.0,
           "SharedPlenumModel: max rise must be >= 0");
+  weight_.resize(base_inlet_celsius_.size());
+  for (std::size_t d = 1; d < weight_.size(); ++d) {
+    weight_[d] = params_.recirculation_fraction *
+                 std::pow(params_.neighbor_decay, static_cast<double>(d - 1));
+  }
 }
 
 double SharedPlenumModel::exhaust_rise(double cpu_watts, double fan_rpm) const {
@@ -60,10 +65,7 @@ void SharedPlenumModel::compute_inlets(
     for (std::size_t j = 0; j < slots.size(); ++j) {
       if (j == i) continue;
       const std::size_t d = i > j ? i - j : j - i;
-      const double w = params_.recirculation_fraction *
-                       std::pow(params_.neighbor_decay,
-                                static_cast<double>(d - 1));
-      preheat += w * rise[j];
+      preheat += weight_[d] * rise[j];
     }
     out[i] = base_inlet_celsius_[i] +
              std::min(preheat, params_.max_rise_celsius);

@@ -52,8 +52,9 @@ struct PlenumSlotState {
 };
 
 /// Computes every slot's inlet temperature from the rack's current
-/// operating point.  Stateless apart from configuration, hence trivially
-/// deterministic.
+/// operating point.  Stateless apart from configuration (the params, the
+/// base inlets and the distance-weight table derived from them), hence
+/// trivially deterministic.
 class SharedPlenumModel {
  public:
   /// `base_inlet_celsius[i]` is slot i's uncoupled inlet temperature.
@@ -92,6 +93,10 @@ class SharedPlenumModel {
 
   PlenumParams params_;
   std::vector<double> base_inlet_celsius_;
+  /// weight_[d] = w(d) for slot distance d in [1, size()); index 0 is
+  /// unused.  Built once in the constructor so the per-round pair loop
+  /// (4,032 pairs at 64 slots) calls no std::pow.
+  std::vector<double> weight_;
   mutable std::vector<double> rise_scratch_;  ///< out-param overload only
 };
 

@@ -1,4 +1,5 @@
-// coord/ subsystem tests: coordinator registry, plenum physics, water-fill
+// coord/ subsystem tests: coordinator registry, plenum physics (the rack
+// and cross-rack plenums bit-identical to the per-pair formula), water-fill
 // arbitration, lockstep determinism (bit-identical across thread counts),
 // equivalence with per-slot run_simulation, trace round-trips through
 // the rack, and the coordination benefit on the default scenario.
@@ -6,17 +7,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "coord/coupled_rack_engine.hpp"
 #include "coord/plenum.hpp"
 #include "coord/policies.hpp"
 #include "core/policy_factory.hpp"
 #include "rack/rack.hpp"
+#include "room/cross_plenum.hpp"
 #include "sim/simulation.hpp"
 #include "util/lockstep_executor.hpp"
+#include "util/rng.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/trace_io.hpp"
 
@@ -160,6 +165,110 @@ TEST(SharedPlenum, RejectsMismatchedSlotCount) {
   const SharedPlenumModel plenum(PlenumParams{}, {40.0, 40.0});
   EXPECT_THROW(plenum.inlet_temperatures({{100.0, 3000.0}}),
                std::invalid_argument);
+}
+
+/// The plenum formula evaluated pair by pair, std::pow per pair, summing
+/// over j in ascending order: the reference the model's precomputed
+/// weight table must reproduce bit for bit.
+std::vector<double> per_pair_pow_inlets(
+    const PlenumParams& p, const std::vector<double>& base,
+    const std::vector<PlenumSlotState>& slots) {
+  std::vector<double> rise(slots.size());
+  for (std::size_t j = 0; j < slots.size(); ++j) {
+    const double rpm = std::max(slots[j].fan_rpm, p.min_airflow_rpm);
+    rise[j] = slots[j].cpu_watts /
+              (p.watts_per_kelvin_at_ref * rpm / p.reference_fan_rpm);
+  }
+  std::vector<double> out(slots.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    double preheat = 0.0;
+    for (std::size_t j = 0; j < slots.size(); ++j) {
+      if (j == i) continue;
+      const std::size_t d = i > j ? i - j : j - i;
+      const double w = p.recirculation_fraction *
+                       std::pow(p.neighbor_decay, static_cast<double>(d - 1));
+      preheat += w * rise[j];
+    }
+    out[i] = base[i] + std::min(preheat, p.max_rise_celsius);
+  }
+  return out;
+}
+
+/// Seeded operating points; state 0 runs every slot hot with a stalled
+/// fan, which drives any slot with a neighbor into max_rise_celsius.
+std::vector<std::vector<PlenumSlotState>> random_plenum_states(
+    std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<PlenumSlotState>> states(6);
+  states[0].assign(n, PlenumSlotState{1000.0, 0.0});
+  for (std::size_t s = 1; s < states.size(); ++s) {
+    for (std::size_t i = 0; i < n; ++i) {
+      states[s].push_back({rng.uniform(0.0, 300.0), rng.uniform(0.0, 12000.0)});
+    }
+  }
+  return states;
+}
+
+TEST(SharedPlenum, InletsMatchThePerPairPowFormulaBitForBit) {
+  // Decay 0 exercises pow(0, 0) = 1 (only adjacent slots couple).
+  for (std::size_t n : {1u, 2u, 3u, 64u}) {
+    for (double decay : {0.0, 0.37, 0.5, 1.0}) {
+      SCOPED_TRACE("slots=" + std::to_string(n) +
+                   " decay=" + std::to_string(decay));
+      PlenumParams p;
+      p.neighbor_decay = decay;
+      Rng rng(n * 131 + static_cast<std::uint64_t>(decay * 100.0));
+      std::vector<double> base(n);
+      for (double& b : base) b = rng.uniform(18.0, 35.0);
+      const SharedPlenumModel plenum(p, base);
+      std::vector<double> out;
+      bool capped = false;
+      for (const auto& slots : random_plenum_states(n, 7 + n)) {
+        const std::vector<double> expected =
+            per_pair_pow_inlets(p, base, slots);
+        EXPECT_EQ(plenum.inlet_temperatures(slots), expected);
+        plenum.inlet_temperatures(slots, out);
+        EXPECT_EQ(out, expected);
+        for (std::size_t i = 0; i < n; ++i) {
+          capped |= expected[i] == base[i] + p.max_rise_celsius;
+        }
+      }
+      EXPECT_EQ(capped, n > 1) << "the hot state must reach max_rise_celsius";
+    }
+  }
+}
+
+TEST(CrossRackPlenum, OffsetsMatchThePerPairPowFormulaBitForBit) {
+  for (std::size_t racks : {1u, 2u, 3u, 64u}) {
+    for (double decay : {0.0, 0.37, 0.5, 1.0}) {
+      SCOPED_TRACE("racks=" + std::to_string(racks) +
+                   " decay=" + std::to_string(decay));
+      CrossRackPlenumParams cp;
+      cp.neighbor_decay = decay;
+      const CrossRackPlenumModel model(cp, racks);
+      PlenumParams p;
+      p.recirculation_fraction = cp.recirculation_fraction;
+      p.neighbor_decay = cp.neighbor_decay;
+      p.reference_fan_rpm = cp.reference_fan_rpm;
+      p.watts_per_kelvin_at_ref = cp.watts_per_kelvin_at_ref;
+      p.min_airflow_rpm = cp.min_airflow_rpm;
+      p.max_rise_celsius = cp.max_rise_celsius;
+      const std::vector<double> zero(racks, 0.0);
+      std::vector<double> out;
+      for (auto slots : random_plenum_states(racks, 11 + racks)) {
+        std::vector<RackPlenumState> states;
+        for (PlenumSlotState& s : slots) {
+          s.cpu_watts *= 16.0;  // a whole rack's power, not one server's
+          states.push_back({s.cpu_watts, s.fan_rpm});
+        }
+        const std::vector<double> expected =
+            per_pair_pow_inlets(p, zero, slots);
+        EXPECT_EQ(model.ambient_offsets(states), expected);
+        model.ambient_offsets(states, out);
+        EXPECT_EQ(out, expected);
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------- water-fill

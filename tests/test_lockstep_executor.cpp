@@ -1,12 +1,16 @@
 // LockstepExecutor unit tests: contiguous pre-assigned shard spans,
 // exactly-once execution, epoch/barrier reuse across thousands of rounds,
 // exception propagation (and survival), a worker that cannot start,
-// caller participation, a determinism stress over 1/2/8 threads, and the
-// facility's composition of an outer executor driving inner ones.
+// caller participation, a determinism stress over 1/2/8 threads, the
+// facility's composition of an outer executor driving inner ones, and the
+// wait's three stages: waves and exceptions after idles longer than the
+// yield window (workers and caller parked on a futex), and an
+// oversubscribed team (the yield path).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -242,6 +246,75 @@ TEST(LockstepExecutor, ComposesWithOneInnerExecutorPerOuterIndex) {
         });
       });
       EXPECT_EQ(after.load(), rooms * kCount);
+    }
+  }
+}
+
+/// Longer than the yield window, so every waiting participant has parked
+/// on its futex by the time it ends.
+constexpr auto kPastTheYieldWindow = 4 * LockstepExecutor::kYieldWindow;
+
+TEST(LockstepExecutor, WavesAfterAnIdlePastTheYieldWindowCoverEveryIndex) {
+  LockstepExecutor exec(4);
+  constexpr std::size_t kCount = 103;
+  std::vector<std::atomic<int>> seen(kCount);
+  for (int wave = 1; wave <= 3; ++wave) {
+    // The workers park during the sleep; the epoch bump must wake them.
+    std::this_thread::sleep_for(kPastTheYieldWindow);
+    exec.run(kCount, [&seen](std::size_t i) {
+      seen[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(seen[i].load(), wave) << "wave " << wave << " index " << i;
+    }
+  }
+  // A slow last shard parks the caller on the arrival counter; the last
+  // arrival must wake it.
+  std::atomic<int> ran{0};
+  exec.run(4, [&ran](std::size_t i) {
+    if (i == 3) std::this_thread::sleep_for(kPastTheYieldWindow);
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(ran.load(), 4);
+}
+
+TEST(LockstepExecutor, ShardExceptionsAfterAnIdleStillRethrow) {
+  LockstepExecutor exec(4);
+  std::this_thread::sleep_for(kPastTheYieldWindow);
+  EXPECT_THROW(exec.run(64,
+                        [](std::size_t i) {
+                          if (i == 63) throw std::runtime_error("parked");
+                        }),
+               std::runtime_error);
+  // The throwing worker is slow too, so the caller has parked first.
+  EXPECT_THROW(exec.run(64,
+                        [](std::size_t i) {
+                          if (i == 63) {
+                            std::this_thread::sleep_for(kPastTheYieldWindow);
+                            throw std::out_of_range("late");
+                          }
+                        }),
+               std::out_of_range);
+  std::atomic<int> after{0};
+  exec.run(64, [&after](std::size_t) {
+    after.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(after.load(), 64);
+}
+
+TEST(LockstepExecutor, OversubscribedTeamRunsThousandsOfRounds) {
+  // Twice as many participants as cores: waiting threads must yield their
+  // core to those with work left, or every round stalls a time slice.
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t team = std::min<std::size_t>(16, 2 * hw);
+  LockstepExecutor exec(team);
+  std::vector<std::atomic<int>> seen(2 * team);
+  for (int round = 1; round <= 2000; ++round) {
+    exec.run(seen.size(), [&seen](std::size_t i) {
+      seen[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      ASSERT_EQ(seen[i].load(), round) << "round " << round << " index " << i;
     }
   }
 }

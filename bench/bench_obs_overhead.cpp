@@ -100,8 +100,9 @@ BENCHMARK(BM_Rack64Attached)->Unit(benchmark::kMillisecond)->UseRealTime();
 /// samples interleaved in alternating order so host drift lands on both
 /// sides, each sample at least 50 ms of back-to-back runs (one 240 s
 /// rack-64 run lasts only 5-10 ms, short enough for host contention to
-/// decide the ratio), min-of-5 per side; then print the verdict.
-bool print_overhead_verdict() {
+/// decide the ratio), min-of-5 per side, retaken while the host steals
+/// CPU; then print the verdict and return the exit code.
+int overhead_verdict() {
   const fsc_bench::PairedSeconds s = fsc_bench::min_of_interleaved(
       [] { return rack_ns(false) * 1e-9; }, [] { return rack_ns(true) * 1e-9; },
       /*pairs=*/5);
@@ -109,9 +110,11 @@ bool print_overhead_verdict() {
   std::printf("rack-64 detached          : %10.2f ms\n", s.a * 1e3);
   std::printf("rack-64 metrics + tracing : %10.2f ms (%.2fx)\n", s.b * 1e3,
               s.b / s.a);
-  return fsc_bench::check_beats("obs-attached", "rack64_wall_ns",
-                                "1.10x detached", 1.10 * s.a * 1e9,
-                                s.b * 1e9);
+  fsc_bench::print_host_steal("rack-64", s);
+  const bool ok = fsc_bench::check_beats("obs-attached", "rack64_wall_ns",
+                                         "1.10x detached", 1.10 * s.a * 1e9,
+                                         s.b * 1e9);
+  return fsc_bench::verdict_exit_code(!ok && !s.contended, s.contended);
 }
 
 }  // namespace
@@ -120,5 +123,5 @@ int main(int argc, char** argv) {
   const int rc = fsc_bench::run_benchmarks_with_json(argc, argv,
                                                      "BENCH_obs_overhead.json");
   if (rc != 0) return rc;
-  return print_overhead_verdict() ? 0 : 2;
+  return overhead_verdict();
 }

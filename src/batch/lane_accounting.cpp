@@ -86,7 +86,7 @@ LoopRun lane_loop(long substeps, std::size_t lo, std::size_t hi, double dt,
   double due = 0.0;
   while (due == 0.0 && run.substeps < substeps) {
     ++run.substeps;
-    for (std::size_t i = lo; i < hi; ++i) {  // vector loop: fused lanes
+    for (std::size_t i = lo; i < hi; ++i) {  // vector loop: fused-lanes
       // A settled lane's fan power is the fixed point its last full
       // substep stored.
       if constexpr (!kSettled) {

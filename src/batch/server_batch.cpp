@@ -101,7 +101,7 @@ void plant_lanes(std::size_t lo, std::size_t hi,
                  const double* __restrict die_decay,
                  const double* __restrict pmax,
                  const double* __restrict smax) noexcept {
-  for (std::size_t i = lo; i < hi; ++i) {  // vector loop: plant lanes
+  for (std::size_t i = lo; i < hi; ++i) {  // vector loop: plant-lanes
     fan_w[i] = plant::fan_power(pmax[i], smax[i], act[i]);
     plant::step_nodes(t_hs[i], t_j[i], ambient[i], r_hs[i], p_cpu[i],
                       hs_decay[i], r_die[i], die_decay[i]);

@@ -24,6 +24,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -69,6 +73,63 @@ TEST(PlantKernel, SlewLandsExactlyOnCommandWithinReach) {
   // Out of reach: bounded move toward the command.
   EXPECT_EQ(plant::slew_toward(3000.0, 4000.0, 50.0), 3050.0);
   EXPECT_EQ(plant::slew_toward(3000.0, 2000.0, 50.0), 2950.0);
+}
+
+/// Speeds, commands and reaches at the edges of the slew's select: signed
+/// zeros, subnormals, infinities, NaN, exact and just-missed reaches.
+std::vector<double> slew_edge_values() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  return {0.0,     -0.0,    tiny,    -tiny,  1.0,     50.0,
+          3000.0,  3050.0,  2950.0,  std::nextafter(3050.0, 0.0),
+          3000.0 + 1e-9,    8500.0,  -3000.0, 1e308,   -1e308,
+          inf,     -inf,    nan,     -nan};
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Equal bits, signed zeros included, or both NaN: which NaN an add of
+/// two NaNs returns depends on the operand order the compiler emits.
+bool same_value(double a, double b) {
+  return std::isnan(a) ? std::isnan(b) : bits(a) == bits(b);
+}
+
+TEST(ServerBatch, SlewPassMatchesScalarSlewOnEdgeValues) {
+  // 11 lanes, each replayed through the scalar plant::slew_toward,
+  // period after period, over the edge values as commands and slews (an
+  // infinite slew over dt = 0 gives a NaN reach).
+  const std::vector<double> v = slew_edge_values();
+  constexpr std::size_t kLanes = 11;
+  Rng rng(4);
+  std::vector<std::unique_ptr<Server>> servers;
+  ServerBatch batch;
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    servers.push_back(std::make_unique<Server>(Server::table1_defaults(rng)));
+    batch.add_server(*servers.back());
+  }
+  std::vector<double> ref(kLanes);
+  for (std::size_t i = 0; i < kLanes; ++i) ref[i] = batch.fan_rpm(i);
+  for (std::size_t round = 0; round < 3 * v.size(); ++round) {
+    const double dt = round % 5 == 4 ? 0.0 : kDt;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      const double cmd = v[(round * 7 + i * 3) % v.size()];
+      const double slew = v[(round + i * 5) % v.size()];
+      batch.set_inputs(i, 80.0, FanDrive{cmd, slew}, 30.0);
+    }
+    batch.prepare_dt(dt);
+    for (int s = 0; s < 3; ++s) {
+      batch.step_range(0, kLanes, dt);
+      for (std::size_t i = 0; i < kLanes; ++i) {
+        const double cmd = v[(round * 7 + i * 3) % v.size()];
+        const double slew = v[(round + i * 5) % v.size()];
+        ref[i] = plant::slew_toward(ref[i], cmd, slew * dt);
+        ASSERT_TRUE(same_value(batch.fan_rpm(i), ref[i]))
+            << "round " << round << " substep " << s << " lane " << i << ": "
+            << batch.fan_rpm(i) << " vs " << ref[i];
+      }
+    }
+  }
 }
 
 // -------------------------------------------------- N = 1 vs Server::step

@@ -1,9 +1,17 @@
-// Unit tests for src/util: ring buffer, statistics, CSV, units.
+// Unit tests for src/util: ring buffer, statistics, RNG, CSV, units; and
+// the bench gates' interleaved timing (bench/paired_timing.hpp).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "../bench/paired_timing.hpp"
 #include "util/csv.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
@@ -296,6 +304,117 @@ TEST(Rng, GaussianStreamIsPinned) {
   EXPECT_EQ(rng.gaussian(0.0, 1.0), -0.1977499157202755);
 }
 
+// The in-repo engine and distributions must reproduce the standard
+// library's streams bit for bit: every golden digest was taken with them.
+
+TEST(Rng, EngineWordsMatchStdMt19937_64) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0x5eedf5c0},
+        ~std::uint64_t{0}, derive_seed(7, 3)}) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 2500; ++i) {  // eight twists
+      ASSERT_EQ(ours(), ref()) << "seed " << seed << " word " << i;
+    }
+  }
+}
+
+/// A UniformRandomBitGenerator that returns one fixed word.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type word;
+  result_type operator()() const { return word; }
+};
+
+TEST(Rng, CanonicalMatchesGenerateCanonicalOnEdgeWords) {
+  constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
+  constexpr std::uint64_t k63 = std::uint64_t{1} << 63;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (const std::uint64_t word :
+       {std::uint64_t{0}, std::uint64_t{1}, k53 - 1, k53, k53 + 1, k63 - 1,
+        k63, k63 + 1, kMax - 2048, kMax - 1024, kMax - 1023, kMax}) {
+    FixedWord gen{word};
+    const double ref =
+        std::generate_canonical<double, std::numeric_limits<double>::digits>(
+            gen);
+    EXPECT_EQ(Rng::canonical_of(word), ref) << "word " << word;
+    EXPECT_LT(Rng::canonical_of(word), 1.0) << "word " << word;
+  }
+  // The words that round up to 2^64 take the clamp.
+  EXPECT_EQ(Rng::canonical_of(kMax), std::nextafter(1.0, 0.0));
+  // Every rounding case of the top-bit-set half: ties to even, sticky bits.
+  std::mt19937_64 words(11);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t word = words() | (i % 2 == 0 ? k63 : 0);
+    for (const std::uint64_t w : {word, word & ~std::uint64_t{0x7ff},
+                                  (word & ~std::uint64_t{0x7ff}) | 0x400}) {
+      FixedWord gen{w};
+      ASSERT_EQ(Rng::canonical_of(w),
+                (std::generate_canonical<double, 53>(gen)))
+          << "word " << w;
+    }
+  }
+}
+
+TEST(Rng, GaussianMatchesAFreshStdNormalDistribution) {
+  const std::pair<double, double> params[] = {
+      {0.0, 1.0}, {0.0, 0.04}, {5.0, 2.0}, {-3.25, 1e-3}};
+  for (const std::uint64_t seed : {std::uint64_t{0x5eedf5c0},
+                                   std::uint64_t{42}, derive_seed(9, 1)}) {
+    Rng ours(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 100000; ++i) {
+      const auto [mean, sd] = params[i % 4];
+      ASSERT_EQ(ours.gaussian(mean, sd),
+                std::normal_distribution<double>(mean, sd)(ref))
+          << "seed " << seed << " draw " << i;
+    }
+    for (int i = 0; i < 8; ++i) {  // the engines agree afterwards
+      EXPECT_EQ(ours.canonical(), (std::generate_canonical<double, 53>(ref)));
+    }
+  }
+}
+
+TEST(Rng, FillGaussianMatchesRepeatedCalls) {
+  for (const std::size_t n : {0u, 1u, 2u, 313u, 900u}) {
+    Rng bulk(derive_seed(3, n));
+    Rng calls(derive_seed(3, n));
+    std::vector<double> got(n + 1, -7.0);
+    bulk.fill_gaussian(0.5, 0.04, got.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i], calls.gaussian(0.5, 0.04)) << "n " << n << " i " << i;
+    }
+    EXPECT_EQ(got[n], -7.0) << "wrote past out[n - 1]";
+    EXPECT_EQ(bulk.canonical(), calls.canonical()) << "n " << n;
+  }
+}
+
+TEST(Rng, OtherDistributionStreamsMatchTheStandardLibrary) {
+  Rng ours(77);
+  std::mt19937_64 ref(77);
+  for (int i = 0; i < 20000; ++i) {
+    switch (i % 4) {
+      case 0:
+        ASSERT_EQ(ours.uniform(-2.5, 7.0),
+                  std::uniform_real_distribution<double>(-2.5, 7.0)(ref));
+        break;
+      case 1:
+        ASSERT_EQ(ours.exponential(1.0 / 300.0),
+                  std::exponential_distribution<double>(1.0 / 300.0)(ref));
+        break;
+      case 2:
+        ASSERT_EQ(ours.uniform_int(-3, 1000),
+                  std::uniform_int_distribution<std::int64_t>(-3, 1000)(ref));
+        break;
+      default:
+        ASSERT_EQ(ours.bernoulli(0.3), std::bernoulli_distribution(0.3)(ref));
+    }
+  }
+  EXPECT_EQ(ours.canonical(), (std::generate_canonical<double, 53>(ref)));
+}
+
 TEST(Rng, UniformIntInRange) {
   Rng rng(9);
   for (int i = 0; i < 1000; ++i) {
@@ -310,6 +429,69 @@ TEST(Rng, ExponentialMeanMatchesRate) {
   RunningStats s;
   for (int i = 0; i < 20000; ++i) s.add(rng.exponential(0.5));
   EXPECT_NEAR(s.mean(), 2.0, 0.1);
+}
+
+// ------------------------------------------------- bench gate timing
+
+/// A host whose steal counter advances by `steal[k]` of every 100 ticks
+/// during the k-th sampling attempt.
+struct ScriptedHost {
+  std::vector<long long> steal;
+  int reads = 0;
+  fsc_bench::HostTicks now{0, 0};
+  fsc_bench::HostTicks operator()() {
+    if (reads % 2 == 1) {  // the read after an attempt's samples
+      now.steal += steal[static_cast<std::size_t>(reads / 2)];
+      now.total += 100;
+    }
+    ++reads;
+    return now;
+  }
+};
+
+TEST(PairedTiming, RetakesContendedSamplesAtMostTwice) {
+  const auto a = [] { return 0.06; };
+  const auto b = [] { return 0.07; };
+  {
+    ScriptedHost host{{1}};
+    const auto s = fsc_bench::min_of_interleaved(a, b, 3, host);
+    EXPECT_EQ(s.attempts, 1);
+    EXPECT_FALSE(s.contended);
+    EXPECT_EQ(s.steal_ticks, 1);
+    EXPECT_DOUBLE_EQ(s.a, 0.06);
+    EXPECT_DOUBLE_EQ(s.b, 0.07);
+  }
+  {
+    ScriptedHost host{{40, 6, 5}};  // 5% is still within the bound
+    const auto s = fsc_bench::min_of_interleaved(a, b, 3, host);
+    EXPECT_EQ(s.attempts, 3);
+    EXPECT_FALSE(s.contended);
+    EXPECT_EQ(s.steal_ticks, 5);
+  }
+  {
+    ScriptedHost host{{40, 30, 20}};
+    const auto s = fsc_bench::min_of_interleaved(a, b, 3, host);
+    EXPECT_EQ(s.attempts, fsc_bench::kMaxAttempts);
+    EXPECT_TRUE(s.contended);
+    EXPECT_EQ(s.steal_ticks, 20);
+    EXPECT_EQ(host.reads, 2 * fsc_bench::kMaxAttempts);
+  }
+  {
+    // No counters (not Linux): one attempt, steal unknown, not contended.
+    const auto s = fsc_bench::min_of_interleaved(
+        a, b, 3, [] { return fsc_bench::HostTicks{}; });
+    EXPECT_EQ(s.attempts, 1);
+    EXPECT_FALSE(s.contended);
+    EXPECT_EQ(s.steal_ticks, -1);
+  }
+}
+
+TEST(PairedTiming, ExitCodeNeverPassesAContendedMeasurement) {
+  EXPECT_EQ(fsc_bench::verdict_exit_code(false, false), 0);
+  EXPECT_EQ(fsc_bench::verdict_exit_code(true, false), 2);
+  EXPECT_EQ(fsc_bench::verdict_exit_code(true, true), 2);
+  EXPECT_EQ(fsc_bench::verdict_exit_code(false, true),
+            fsc_bench::kExitContended);
 }
 
 // ---------------------------------------------------------------- CSV

@@ -5,14 +5,18 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "util/rng.hpp"
 #include "util/statistics.hpp"
+#include "util/units.hpp"
 #include "workload/predictor.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/trace.hpp"
@@ -143,6 +147,165 @@ TEST(Spiky, ZeroRateMeansNoSpikes) {
   for (double t = 0.0; t < 500.0; t += 1.0) {
     EXPECT_LE(w->demand(t), 0.7);
   }
+}
+
+/// make_spiky_workload as it was written before spikes were overwritten in
+/// place: the base trace is read back through its virtual demand() into a
+/// second vector.  The in-place form must match it bit for bit.
+std::unique_ptr<SampledWorkload> two_vector_spiky(const SpikyParams& params,
+                                                  Rng& rng) {
+  auto base = make_square_noise_workload(params.base, rng);
+  const std::size_t n = sample_count(params.base.duration_s,
+                                     params.base.sample_period_s, "reference");
+  std::vector<double> samples;
+  samples.reserve(n);
+  const double duration = params.base.duration_s;
+  const bool spiky = params.spike_rate_per_s > 0.0;
+  double next_spike = duration;
+  const auto draw_next = [&] {
+    next_spike += rng.exponential(params.spike_rate_per_s);
+  };
+  if (spiky) {
+    next_spike = 0.0;
+    draw_next();
+  }
+  double spike_until = -1.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double now = static_cast<double>(i) * params.base.sample_period_s;
+    while (next_spike < duration && next_spike <= now) {
+      spike_until = next_spike + params.spike_duration_s;
+      draw_next();
+    }
+    const double u = now < spike_until ? params.spike_level : base->demand(now);
+    samples.push_back(clamp_utilization(u));
+  }
+  while (spiky && next_spike < duration) draw_next();
+  return std::make_unique<SampledWorkload>(std::move(samples),
+                                           params.base.sample_period_s);
+}
+
+TEST(Spiky, InPlaceSpikesMatchTheTwoVectorReference) {
+  struct Case {
+    const char* name;
+    SpikyParams params;
+  };
+  std::vector<Case> cases;
+  const auto add = [&](const char* name, auto edit) {
+    SpikyParams p;
+    p.base.duration_s = 900.0;
+    p.spike_rate_per_s = 1.0 / 60.0;
+    edit(p);
+    cases.push_back({name, p});
+  };
+  add("defaults", [](SpikyParams&) {});
+  add("arrival in the first sample period", [](SpikyParams& p) {
+    p.base.sample_period_s = 10.0;
+    p.spike_rate_per_s = 2.0;  // first arrival within 10 s almost surely
+  });
+  add("spike running past the end", [](SpikyParams& p) {
+    p.base.duration_s = 100.0;
+    p.spike_rate_per_s = 1.0 / 30.0;
+    p.spike_duration_s = 1000.0;
+  });
+  add("rate 0", [](SpikyParams& p) { p.spike_rate_per_s = 0.0; });
+  add("noise 0", [](SpikyParams& p) { p.base.noise_stddev = 0.0; });
+  add("0.73 s samples", [](SpikyParams& p) {
+    p.base.sample_period_s = 0.73;
+    p.base.phase_s = 17.3;
+  });
+  add("level above 1", [](SpikyParams& p) { p.spike_level = 1.5; });
+  for (const Case& c : cases) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      Rng ours_rng(seed);
+      Rng ref_rng(seed);
+      const auto ours = make_spiky_workload(c.params, ours_rng);
+      const auto ref = two_vector_spiky(c.params, ref_rng);
+      ASSERT_EQ(ours->size(), ref->size()) << c.name;
+      for (std::size_t i = 0; i < ref->size(); ++i) {
+        ASSERT_EQ(ours->data()[i], ref->data()[i])
+            << c.name << " seed " << seed << " sample " << i;
+      }
+      EXPECT_EQ(ours_rng.canonical(), ref_rng.canonical())
+          << c.name << ": the Rng state differs afterwards";
+    }
+  }
+  // The first-period case must actually have spiked at sample 1.
+  Rng rng(1);
+  const auto first = make_spiky_workload(cases[1].params, rng);
+  EXPECT_EQ(first->data()[1], 1.0);
+}
+
+/// `make` must throw std::invalid_argument naming `field` for each value.
+template <typename Make>
+void expect_rejects_field(const char* field, std::initializer_list<double> bad,
+                          Make make) {
+  for (const double value : bad) {
+    Rng rng(8);
+    try {
+      (void)make(value, rng);
+      ADD_FAILURE() << field << " = " << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << field << " = " << value << ": " << e.what();
+    }
+  }
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(SquareNoise, RejectsBadNoiseStddevByName) {
+  expect_rejects_field("noise_stddev", {kNaN, kInf, -kInf, -0.01},
+                       [](double v, Rng& rng) {
+                         SquareNoiseParams p;
+                         p.noise_stddev = v;
+                         return make_square_noise_workload(p, rng);
+                       });
+  expect_rejects_field("noise_stddev", {kNaN, kInf, -0.01},
+                       [](double v, Rng& rng) {
+                         SpikyParams p;
+                         p.base.noise_stddev = v;
+                         return make_spiky_workload(p, rng);
+                       });
+}
+
+TEST(Spiky, RejectsBadSpikeRateByName) {
+  // +inf used to hang: every gap drew 0, so the next arrival never moved.
+  expect_rejects_field("spike_rate_per_s", {kInf, kNaN, -kInf, -1.0 / 300.0},
+                       [](double v, Rng& rng) {
+                         SpikyParams p;
+                         p.base.duration_s = 10.0;
+                         p.spike_rate_per_s = v;
+                         return make_spiky_workload(p, rng);
+                       });
+}
+
+TEST(Spiky, RejectsBadSpikeDurationByName) {
+  expect_rejects_field("spike_duration_s", {kNaN, kInf, -1.0},
+                       [](double v, Rng& rng) {
+                         SpikyParams p;
+                         p.spike_duration_s = v;
+                         return make_spiky_workload(p, rng);
+                       });
+}
+
+TEST(Spiky, RejectsNonFiniteSpikeLevelByName) {
+  expect_rejects_field("spike_level", {kNaN, kInf, -kInf},
+                       [](double v, Rng& rng) {
+                         SpikyParams p;
+                         p.spike_level = v;
+                         return make_spiky_workload(p, rng);
+                       });
+}
+
+TEST(Diurnal, RejectsBadNoiseStddevByName) {
+  expect_rejects_field("noise_stddev", {kNaN, kInf, -0.01},
+                       [](double v, Rng& rng) {
+                         DiurnalParams p;
+                         p.duration_s = 600.0;
+                         p.noise_stddev = v;
+                         return make_diurnal_workload(p, rng);
+                       });
 }
 
 TEST(Diurnal, TroughAtMidnightPeakAtNoon) {

@@ -30,10 +30,33 @@
 // Every plant input is constant within a period and the slew lands
 // exactly on its command, so once every lane of the range holds its
 // command's bits with a valid memo, slew, memo and fan power are fixed
-// points: the remaining substeps run the settled tail — the same vector
-// loop without fan power — and count their memo hits in bulk.  Nothing is
-// approximated; the tail is the per-substep path with its no-op passes
-// removed.
+// points: the remaining substeps run the settled tail and count their
+// memo hits in bulk.  Nothing is approximated; the tail is the
+// per-substep path with its no-op passes removed.
+//
+// The settled tail.  The range runs in blocks of kAutoChunkLanes (8)
+// lanes — one block for the engines' 8-lane chunks, a partial last block
+// for any other width, which repeats its last lane in the spare slots.  A
+// block copies its 13 accumulators (the two node temperatures, energy,
+// junction statistics, violation time and sample phase) into block-local
+// arrays, hoists the period's loop-invariant products (ambient + r_hs·P,
+// r_die·P, P·dt, fan_W·dt: the same operands, so the same bits on every
+// substep), runs K substeps, and writes the accumulators back.  K is the
+// first substep at which any lane of the WHOLE range reaches a sample
+// instant, found by replaying the lanes' `phase += dt` adds on a copy;
+// after every block has run K substeps, the cold sample pass takes the
+// due samples in lane order, exactly where the per-substep path takes
+// them, and the next K is found for the substeps left.
+//
+// Builds.  On x86-64 GCC advance_period is compiled twice through
+// target_clones — for the x86-64 baseline and for AVX2, picked from
+// CPUID at load time — with `flatten`, so the loops are inlined into each
+// clone and run four doubles wide on AVX2 hosts.  Other compilers build
+// the baseline kernel only, and so do ThreadSanitizer builds: GCC
+// instruments the clones' ifunc resolver, which runs before the
+// sanitizer's runtime exists, and the program dies at load.  The library
+// is compiled with -ffp-contract=off, so no clone may fuse a
+// multiply-add.
 //
 // Every lane update is the same expression, in the same per-lane order, as
 // the scalar Server::step, so the Server and its meters are bit-identical
@@ -53,6 +76,12 @@
 #include <vector>
 
 #include "util/lane_vector.hpp"
+
+/// Defined when advance_period is built as AVX2 + baseline target_clones.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
+#define FSC_PERIOD_KERNEL_CLONES 1
+#endif
 
 namespace fsc {
 
@@ -90,13 +119,20 @@ class LaneAccounting {
   void store(std::size_t i, const ServerBatch& batch);
 
  private:
-  /// Up to `steps` substeps of the period kernel's lane loop over
-  /// [lo, hi), through the first one that reaches a sample instant, whose
-  /// samples it then takes; returns the substeps advanced.  The settled
-  /// tail (kSettled) skips the fan-power statement.
-  template <bool kSettled>
-  long advance_substeps(ServerBatch& batch, std::size_t lo, std::size_t hi,
-                        double dt, long steps);
+  /// One full substep over [lo, hi) (the fused lane loop), then the
+  /// samples of any lane that reached its instant.
+  void full_substep(ServerBatch& batch, std::size_t lo, std::size_t hi,
+                    double dt);
+  /// K: the first of the next `steps` settled substeps at which some lane
+  /// of [lo, hi) reaches a sample instant, or `steps` when none does.
+  long substeps_to_sample(std::size_t lo, std::size_t hi, double dt,
+                          long steps) const;
+  /// `steps` settled substeps of the block [lo, hi), at most
+  /// kAutoChunkLanes wide, with its accumulators in block-local arrays.
+  void settled_block(ServerBatch& batch, std::size_t lo, std::size_t hi,
+                     double dt, long steps);
+  /// The cold sample pass: every due sample of [lo, hi), in lane order.
+  void take_samples(const ServerBatch& batch, std::size_t lo, std::size_t hi);
 
   std::vector<Server*> servers_;
 

@@ -33,9 +33,9 @@ class RingBuffer {
 
   /// Append `value`; when full, the oldest element is dropped first.
   void push(const T& value) {
-    storage_[(head_ + size_) % storage_.size()] = value;
+    storage_[wrap(head_ + size_)] = value;
     if (full()) {
-      head_ = (head_ + 1) % storage_.size();
+      head_ = wrap(head_ + 1);
     } else {
       ++size_;
     }
@@ -46,7 +46,7 @@ class RingBuffer {
   T pop() {
     if (empty()) throw std::out_of_range("RingBuffer::pop on empty buffer");
     T value = storage_[head_];
-    head_ = (head_ + 1) % storage_.size();
+    head_ = wrap(head_ + 1);
     --size_;
     return value;
   }
@@ -60,14 +60,14 @@ class RingBuffer {
   /// Newest element (most recently pushed).  Throws std::out_of_range when empty.
   const T& back() const {
     if (empty()) throw std::out_of_range("RingBuffer::back on empty buffer");
-    return storage_[(head_ + size_ - 1) % storage_.size()];
+    return storage_[wrap(head_ + size_ - 1)];
   }
 
   /// Element `i` counted from the oldest (0 == front).
   /// Throws std::out_of_range when i >= size().
   const T& at(std::size_t i) const {
     if (i >= size_) throw std::out_of_range("RingBuffer::at index out of range");
-    return storage_[(head_ + i) % storage_.size()];
+    return storage_[wrap(head_ + i)];
   }
 
   /// Drop all elements; capacity is unchanged.
@@ -77,6 +77,13 @@ class RingBuffer {
   }
 
  private:
+  /// Storage slot of position `index`, which is always below twice the
+  /// capacity (head_ < capacity, offsets <= size_ <= capacity): one
+  /// compare and subtract instead of a 64-bit divide.
+  std::size_t wrap(std::size_t index) const noexcept {
+    return index >= storage_.size() ? index - storage_.size() : index;
+  }
+
   std::vector<T> storage_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;

@@ -53,6 +53,10 @@ std::unique_ptr<SampledWorkload> make_spiky_workload(const SpikyParams& params,
   require(std::isfinite(params.spike_level),
           "spiky workload: spike_level must be finite");
   std::vector<double> samples = square_noise_samples(params.base, rng);
+  require(params.spike_rate_per_s * params.base.duration_s <=
+              kMaxExpectedSpikeArrivals,
+          "spiky workload: spike_rate_per_s * duration_s exceeds the "
+          "expected-arrival cap");
   const std::size_t n = samples.size();
   // Poisson spike arrivals come from the Rng after the whole base trace,
   // so the base trace and spike train use disjoint, reproducible

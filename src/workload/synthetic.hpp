@@ -39,7 +39,15 @@ struct SpikyParams {
   double spike_duration_s = 20.0;
 };
 
-/// Square + noise trace with Poisson-arriving saturation spikes.
+/// The most spike arrivals a spiky trace may expect
+/// (spike_rate_per_s * duration_s): every arrival is one Rng draw, so an
+/// unbounded rate would not return.  A day at one spike per second
+/// expects 86,400.
+inline constexpr double kMaxExpectedSpikeArrivals = 1e7;
+
+/// Square + noise trace with Poisson-arriving saturation spikes.  Throws
+/// std::invalid_argument naming spike_rate_per_s when the expected
+/// arrival count exceeds kMaxExpectedSpikeArrivals.
 std::unique_ptr<SampledWorkload> make_spiky_workload(const SpikyParams& params,
                                                      Rng& rng);
 

@@ -8,6 +8,8 @@
 //   * the period kernel (LaneAccounting::advance_period) against the
 //     scalar Server::step and against itself run one substep per call,
 //     which never takes the settled tail: state and memo tallies equal;
+//     and across the settled tail's 8-lane blocks, where a lane of a
+//     later block reaches its sample instant first;
 //   * RackBatchStepper's lane accounting (sensor phase, energy, junction
 //     statistics) against per-slot scalar Session::step_period, at every
 //     period boundary, across range widths and thread counts, under the
@@ -616,11 +618,11 @@ TEST(LaneAccounting, StepperMatchesScalarSessionsEveryPeriod) {
   }
 }
 
-/// The period kernel's own fleet: `kLaneSlots` Servers with noisy 0.73 s
-/// sensors and a junction limit the load crosses, stepped on one batch.
-/// With `share`, lanes 2 and 5 draw from one Rng — both inside the first
-/// range at width >= 8, so their samples interleave in (substep, lane)
-/// order.
+/// The period kernel's own fleet: `lanes` Servers with noisy sensors,
+/// lane i sampled every `sample_period(i)` seconds, and a junction limit
+/// the load crosses, stepped on one batch.  Lane `shared` (unless it is
+/// `lanes`) draws from lane `source`'s Rng, so when both lie in one range
+/// their samples interleave in (substep, lane) order.
 struct KernelFleet {
   static constexpr double kLimit = 62.0;
 
@@ -629,13 +631,14 @@ struct KernelFleet {
   ServerBatch batch;
   LaneAccounting accounts;
 
-  explicit KernelFleet(bool share) {
-    ServerParams params;
-    params.sensor.noise_stddev = 0.5;
-    params.sensor.sample_period_s = 0.73;
-    for (std::size_t i = 0; i < kLaneSlots; ++i) {
+  KernelFleet(std::size_t lanes, std::size_t source, std::size_t shared,
+              double (*sample_period)(std::size_t)) {
+    for (std::size_t i = 0; i < lanes; ++i) {
+      ServerParams params;
+      params.sensor.noise_stddev = 0.5;
+      params.sensor.sample_period_s = sample_period(i);
       rngs.push_back(std::make_unique<Rng>(derive_seed(17, i)));
-      Rng& rng = share && i == 5 ? *rngs[2] : *rngs.back();
+      Rng& rng = i == shared ? *rngs[source] : *rngs.back();
       servers.push_back(std::make_unique<Server>(
           params, 2000.0 + 150.0 * static_cast<double>(i % 4), rng));
       servers.back()->junction_meter().reset(kLimit);
@@ -645,6 +648,13 @@ struct KernelFleet {
     batch.prepare_dt(kDt);
     batch.set_memo_telemetry(true);
   }
+  /// `kLaneSlots` lanes sampled every 0.73 s; with `share`, lanes 2 and 5
+  /// share an Rng — both inside the first range at width >= 8.
+  explicit KernelFleet(bool share)
+      : KernelFleet(kLaneSlots, 2, share ? 5 : kLaneSlots,
+                    [](std::size_t) { return 0.73; }) {}
+
+  std::size_t size() const noexcept { return servers.size(); }
 
   /// The period's inputs, a pure function of (period, lane): commands
   /// that hold for six periods (the lanes settle, so ranges run whole
@@ -664,9 +674,19 @@ struct KernelFleet {
     return ((period + static_cast<long>(i)) / 4) % 2 == 0 ? 0.2 : 0.9;
   }
 
+  /// One period of the scalar reference: every lane substep-outer,
+  /// lane-inner — the order the kernel's samples are drawn in.
+  void step_scalar(long period) {
+    std::vector<double> u(size());
+    for (std::size_t i = 0; i < size(); ++i) u[i] = steer(period, i);
+    for (long s = 0; s < kSubstepsPerPeriod; ++s) {
+      for (std::size_t i = 0; i < size(); ++i) servers[i]->step(u[i], kDt);
+    }
+  }
+
   /// Open the period on every lane: steer, gather, load.
   void begin(long period) {
-    for (std::size_t i = 0; i < kLaneSlots; ++i) {
+    for (std::size_t i = 0; i < size(); ++i) {
       const double u = steer(period, i);
       batch.set_inputs(i, servers[i]->cpu_power_now(u), servers[i]->fan_drive(),
                        servers[i]->inlet_temperature());
@@ -674,11 +694,19 @@ struct KernelFleet {
     }
   }
   void end() {
-    for (std::size_t i = 0; i < kLaneSlots; ++i) accounts.store(i, batch);
+    for (std::size_t i = 0; i < size(); ++i) accounts.store(i, batch);
   }
 };
 
 TEST(LaneAccounting, PeriodKernelMatchesScalarAndPerSubstepPaths) {
+  // Which build of the period kernel the scalar oracle checks: with
+  // clones, the one CPUID picked.
+#ifdef FSC_PERIOD_KERNEL_CLONES
+  RecordProperty("period_kernel_clone",
+                 __builtin_cpu_supports("avx2") ? "avx2" : "default");
+#else
+  RecordProperty("period_kernel_clone", "single build");
+#endif
   for (std::size_t width :
        {std::size_t{1}, std::size_t{3}, std::size_t{8}, kLaneSlots}) {
     const bool share = width >= 8;
@@ -691,17 +719,11 @@ TEST(LaneAccounting, PeriodKernelMatchesScalarAndPerSubstepPaths) {
     bool crossed = false;
     bool seized = false;
     for (long p = 0; p < kLanePeriods; ++p) {
-      std::vector<double> u(kLaneSlots);
       std::vector<double> violation_before(kLaneSlots);
       for (std::size_t i = 0; i < kLaneSlots; ++i) {
-        u[i] = scalar.steer(p, i);
         violation_before[i] = scalar.servers[i]->junction().violation_time_s();
       }
-      for (long s = 0; s < kSubstepsPerPeriod; ++s) {
-        for (std::size_t i = 0; i < kLaneSlots; ++i) {
-          scalar.servers[i]->step(u[i], kDt);
-        }
-      }
+      scalar.step_scalar(p);
       whole.begin(p);
       single.begin(p);
       for (std::size_t lo = 0; lo < kLaneSlots; lo += width) {
@@ -740,6 +762,60 @@ TEST(LaneAccounting, PeriodKernelMatchesScalarAndPerSubstepPaths) {
     EXPECT_EQ(whole.batch.memo_hits() + whole.batch.memo_shared_hits() +
                   whole.batch.memo_misses(),
               kLaneSlots * kLanePeriods * kSubstepsPerPeriod);
+  }
+}
+
+/// Lanes 8, 12, 17, 20 and 23 sample about 2.5x as often as the rest, at
+/// periods that are not multiples of dt and differ lane to lane.
+double staggered_sample_period(std::size_t i) {
+  const bool fast = i == 8 || i == 12 || i == 17 || i == 20 || i == 23;
+  return fast ? 0.29 + 0.01 * static_cast<double>(i % 3)
+              : 0.73 + 0.013 * static_cast<double>(i % 5);
+}
+
+TEST(LaneAccounting, SettledTailMatchesScalarAcrossBlocks) {
+  // The settled tail runs each range in 8-lane blocks, K substeps at a
+  // time, K being the first substep at which ANY lane of the range reaches
+  // a sample instant.  Here a lane of a later block reaches it first, and
+  // lanes 1 and 8 (first and second block) share an Rng.
+  constexpr std::size_t kLanes = 24;
+  constexpr std::size_t kBlock = RackBatchStepper::kAutoChunkLanes;
+  for (std::size_t width : {std::size_t{9}, std::size_t{16}, std::size_t{19},
+                            kLanes}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    // Precondition: the first range's fastest sensor is not in its first
+    // block, and both lanes sharing an Rng lie in that range.
+    std::size_t fastest = 0;
+    for (std::size_t i = 1; i < width; ++i) {
+      if (staggered_sample_period(i) < staggered_sample_period(fastest)) {
+        fastest = i;
+      }
+    }
+    ASSERT_GE(fastest, kBlock);
+    ASSERT_LT(std::size_t{8}, width);
+
+    KernelFleet scalar(kLanes, 1, 8, staggered_sample_period);
+    KernelFleet blocked(kLanes, 1, 8, staggered_sample_period);
+    for (long p = 0; p < kLanePeriods; ++p) {
+      scalar.step_scalar(p);
+      blocked.begin(p);
+      for (std::size_t lo = 0; lo < kLanes; lo += width) {
+        blocked.accounts.advance_period(blocked.batch, lo,
+                                        std::min(lo + width, kLanes), kDt,
+                                        kSubstepsPerPeriod);
+      }
+      blocked.end();
+      for (std::size_t i = 0; i < kLanes; ++i) {
+        SCOPED_TRACE("period=" + std::to_string(p) +
+                     " lane=" + std::to_string(i));
+        expect_same_lane(lane_state(*scalar.servers[i]),
+                         lane_state(*blocked.servers[i]));
+        if (HasFailure()) return;
+      }
+    }
+    // Commands hold for six periods, so most lane-substeps ran settled.
+    EXPECT_GT(blocked.batch.memo_hits(),
+              kLanes * kLanePeriods * kSubstepsPerPeriod / 2);
   }
 }
 

@@ -4,14 +4,17 @@
 
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <random>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "../bench/paired_timing.hpp"
+#include "sensor/delay_line.hpp"
 #include "util/csv.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
@@ -162,6 +165,47 @@ TEST(RingBuffer, SizeTracksPushesUpToCapacity) {
   buf.push(3);
   buf.push(4);
   EXPECT_EQ(buf.size(), 3u);
+}
+
+TEST(RingBuffer, MatchesADequeModelAcrossWraps) {
+  // The wrap is a compare-and-subtract, so check every position against a
+  // std::deque kept to the same capacity, at capacities where head_ + size_
+  // reaches each value below 2 * capacity.
+  for (std::size_t capacity : {1u, 2u, 3u, 7u}) {
+    SCOPED_TRACE("capacity=" + std::to_string(capacity));
+    RingBuffer<int> buf(capacity);
+    std::deque<int> model;
+    std::mt19937 pattern(static_cast<unsigned>(capacity));
+    for (int i = 0; i < 1000; ++i) {
+      if (!model.empty() && pattern() % 3 == 0) {
+        ASSERT_EQ(buf.pop(), model.front());
+        model.pop_front();
+      } else {
+        buf.push(i);
+        if (model.size() == capacity) model.pop_front();
+        model.push_back(i);
+      }
+      ASSERT_EQ(buf.size(), model.size());
+      ASSERT_EQ(buf.full(), model.size() == capacity);
+      if (model.empty()) continue;
+      ASSERT_EQ(buf.front(), model.front());
+      ASSERT_EQ(buf.back(), model.back());
+      for (std::size_t k = 0; k < model.size(); ++k) {
+        ASSERT_EQ(buf.at(k), model[k]);
+      }
+    }
+  }
+}
+
+TEST(RingBuffer, DepthZeroDelayLinePassesThrough) {
+  // A depth-0 DelayLine keeps a 1-slot buffer and pops before each push.
+  DelayLine line(0.0, 1.0, -1.0);
+  EXPECT_EQ(line.depth(), 0u);
+  EXPECT_EQ(line.read(), -1.0);
+  for (int i = 0; i < 10; ++i) {
+    line.push(0.5 * i);
+    EXPECT_EQ(line.read(), 0.5 * i);
+  }
 }
 
 // ---------------------------------------------------------------- RunningStats

@@ -2,6 +2,7 @@
 // predictors, and trace I/O round-trips.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -278,6 +279,21 @@ TEST(Spiky, RejectsBadSpikeRateByName) {
                          p.spike_rate_per_s = v;
                          return make_spiky_workload(p, rng);
                        });
+}
+
+TEST(Spiky, RejectsAnArrivalCountAboveTheCapByName) {
+  // A 10 s trace at 1e12 spikes/s used to draw ~1e13 arrivals.  The cap is
+  // checked before the first draw, so the rejection is immediate.
+  const double over_cap = kMaxExpectedSpikeArrivals / 10.0 * 1.000001;
+  const auto start = std::chrono::steady_clock::now();
+  expect_rejects_field("spike_rate_per_s", {1e12, over_cap},
+                       [](double v, Rng& rng) {
+                         SpikyParams p;
+                         p.base.duration_s = 10.0;
+                         p.spike_rate_per_s = v;
+                         return make_spiky_workload(p, rng);
+                       });
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
 TEST(Spiky, RejectsBadSpikeDurationByName) {

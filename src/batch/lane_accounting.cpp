@@ -161,8 +161,8 @@ FSC_PERIOD_KERNEL void LaneAccounting::advance_period(ServerBatch& batch,
   batch.add_memo_tally(tally, lo);
 }
 
-void LaneAccounting::full_substep(ServerBatch& batch, std::size_t lo,
-                                  std::size_t hi, double dt) {
+inline void LaneAccounting::full_substep(ServerBatch& batch, std::size_t lo,
+                                         std::size_t hi, double dt) {
   const bool due = lane_loop(
       lo, hi, dt, batch.fan_actual_.data(), batch.fan_watts_.data(),
       batch.heat_sink_.data(), batch.junction_.data(),
@@ -175,8 +175,9 @@ void LaneAccounting::full_substep(ServerBatch& batch, std::size_t lo,
   if (due) take_samples(batch, lo, hi);
 }
 
-long LaneAccounting::substeps_to_sample(std::size_t lo, std::size_t hi,
-                                        double dt, long steps) const {
+inline long LaneAccounting::substeps_to_sample(std::size_t lo,
+                                               std::size_t hi, double dt,
+                                               long steps) const {
   // Replay each lane's `phase += dt` on a copy: the same adds give the
   // same bits as the block loop's.  Lanes with the phase and period of
   // the last replayed one (the common case: one sensor model per rack)
@@ -200,8 +201,9 @@ long LaneAccounting::substeps_to_sample(std::size_t lo, std::size_t hi,
   return k;
 }
 
-void LaneAccounting::settled_block(ServerBatch& batch, std::size_t lo,
-                                   std::size_t hi, double dt, long steps) {
+inline void LaneAccounting::settled_block(ServerBatch& batch, std::size_t lo,
+                                          std::size_t hi, double dt,
+                                          long steps) {
   constexpr std::size_t W = kBlockLanes;
   const std::size_t n = hi - lo;
   // Inputs, hoisted: the same operands give the same products on every
@@ -295,8 +297,8 @@ void LaneAccounting::settled_block(ServerBatch& batch, std::size_t lo,
   }
 }
 
-void LaneAccounting::take_samples(const ServerBatch& batch, std::size_t lo,
-                                  std::size_t hi) {
+inline void LaneAccounting::take_samples(const ServerBatch& batch,
+                                         std::size_t lo, std::size_t hi) {
   // SensorChain::observe's catch-up loop, in lane order so lanes sharing
   // an Rng draw in the scalar path's order.
   for (std::size_t i = lo; i < hi; ++i) {

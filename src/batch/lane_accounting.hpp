@@ -119,6 +119,9 @@ class LaneAccounting {
   void store(std::size_t i, const ServerBatch& batch);
 
  private:
+  // The period kernel's parts, defined inline in lane_accounting.cpp:
+  // only advance_period's clones call them, so no out-of-line copy is
+  // emitted.
   /// One full substep over [lo, hi) (the fused lane loop), then the
   /// samples of any lane that reached its instant.
   void full_substep(ServerBatch& batch, std::size_t lo, std::size_t hi,
